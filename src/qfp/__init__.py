@@ -1,7 +1,6 @@
 """Single-photon interferometer simulator and analysis toolkit for
 equality fingerprinting protocols."""
 
-from . import backend
 from .classical import (BoundReport, QuantumCost, SmpSearchResult, Strategy,
                         breakeven_n, brute_force_smp, full_bound_report,
                         holevo_classical_cap, quantum_cost,

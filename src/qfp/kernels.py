@@ -1,12 +1,13 @@
-"""Seeded numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Seeded numeric kernels: the Monte Carlo samplers and brute-force scans.
 
-Every randomized routine in this package draws from splitmix64 streams so
-that results are reproducible bit for bit across platforms and across the
-two execution backends (see :mod:`qfp.backend`).  All real-valued decision
-thresholds (cumulative distributions, survival probabilities) are
-precomputed once in numpy and handed to the kernels, which then perform
-only comparisons and integer arithmetic; this is what makes the numba and
-numpy paths exactly interchangeable.
+Every kernel is one vectorized numpy implementation.  Every randomized
+routine draws from splitmix64 streams so that results are reproducible bit
+for bit across platforms.  Real-valued decision thresholds (cumulative
+distributions, survival probabilities) are precomputed once in float64;
+the per-draw work is comparisons and integer arithmetic.  The two
+exhaustive scans (minimum codeword weight, SMP strategy search) return
+exactly what a plain enumeration of their whole search space returns,
+the SMP witness included; ``perfbench/`` times each kernel in CLI runs.
 
 Stream contract
 ---------------
@@ -26,9 +27,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import backend
-from .backend import njit
-
 _MASK64 = (1 << 64) - 1
 _GOLDEN_INT = 0x9E3779B97F4A7C15
 _MIX1_INT = 0xBF58476D1CE4E5B9
@@ -43,15 +41,6 @@ _SH27 = np.uint64(27)
 _SH31 = np.uint64(31)
 _SH11 = np.uint64(11)
 
-# popcount bit-twiddling masks
-_PC1 = np.uint64(0x5555555555555555)
-_PC2 = np.uint64(0x3333333333333333)
-_PC4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_PCM = np.uint64(0x0101010101010101)
-_S1 = np.uint64(1)
-_S2 = np.uint64(2)
-_S4 = np.uint64(4)
-_S56 = np.uint64(56)
 
 
 # ---------------------------------------------------------------------------
@@ -96,28 +85,6 @@ def _advance_u01(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return states, (z >> _SH11) * _TO_U01
 
 
-@njit(cache=True)
-def _sm_next_nb(state):
-    state = state + _GOLDEN
-    z = (state ^ (state >> _SH30)) * _MIX1
-    z = (z ^ (z >> _SH27)) * _MIX2
-    return state, z ^ (z >> _SH31)
-
-
-@njit(cache=True)
-def _bisect_right_nb(arr, v):
-    # first index with arr[index] > v (arr sorted ascending)
-    lo = 0
-    hi = arr.shape[0]
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if v < arr[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 # ---------------------------------------------------------------------------
 # port-outcome sampling
 # ---------------------------------------------------------------------------
@@ -130,37 +97,6 @@ def _prepare_distribution(probs: np.ndarray) -> tuple[np.ndarray, int]:
     if positive.size == 0:
         raise ValueError("probability vector has no mass")
     return np.cumsum(probs), int(positive[-1])
-
-
-@njit(cache=True)
-def _click_counts_nb(cum, m, k, seeds, last_pos):
-    size = cum.shape[0]
-    counts = np.zeros(seeds.shape[0], dtype=np.int64)
-    for t in range(seeds.shape[0]):
-        state = seeds[t]
-        c = 0
-        for _ in range(k):
-            state, z = _sm_next_nb(state)
-            u = (z >> _SH11) * _TO_U01
-            idx = _bisect_right_nb(cum, u)
-            if idx >= size:
-                idx = last_pos
-            if idx >= m:
-                c += 1
-        counts[t] = c
-    return counts
-
-
-def _click_counts_np(cum, m, k, seeds, last_pos):
-    size = cum.shape[0]
-    states = seeds.copy()
-    counts = np.zeros(seeds.shape[0], dtype=np.int64)
-    for _ in range(k):
-        states, u = _advance_u01(states)
-        idx = np.searchsorted(cum, u, side="right")
-        idx = np.where(idx >= size, last_pos, idx)
-        counts += idx >= m
-    return counts
 
 
 def click_counts(probs: np.ndarray, k: int, trials: int,
@@ -179,10 +115,15 @@ def click_counts(probs: np.ndarray, k: int, trials: int,
         raise ValueError("per-mode vector must hold 2m port probabilities")
     cum, last_pos = _prepare_distribution(probs)
     m = probs.shape[0] // 2
-    seeds = derive_stream_seeds(master_seed, trials)
-    if backend.active() == "numba":
-        return _click_counts_nb(cum, m, int(k), seeds, last_pos)
-    return _click_counts_np(cum, m, int(k), seeds, last_pos)
+    size = cum.shape[0]
+    states = derive_stream_seeds(master_seed, trials)
+    counts = np.zeros(states.shape[0], dtype=np.int64)
+    for _ in range(int(k)):
+        states, u = _advance_u01(states)
+        idx = np.searchsorted(cum, u, side="right")
+        idx = np.where(idx >= size, last_pos, idx)
+        counts += idx >= m
+    return counts
 
 
 def sample_indices(probs: np.ndarray, k: int, seed: int) -> np.ndarray:
@@ -204,8 +145,7 @@ def sample_indices(probs: np.ndarray, k: int, seed: int) -> np.ndarray:
 def binomial_cdf(n: int, p: float) -> np.ndarray:
     """CDF table P(X <= j) for j = 0..n, Binomial(n, p), built in float64.
 
-    Both backends sample dark-count totals by bisecting this shared table,
-    so their draws agree exactly.
+    Dark-count totals are sampled by bisecting this table with a uniform.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -219,56 +159,30 @@ def binomial_cdf(n: int, p: float) -> np.ndarray:
     return np.cumsum(pmf)
 
 
-@njit(cache=True)
-def _noise_verdicts_nb(photon_cdf, p_survive, p_click_n, dark_cdf, k, seeds):
-    out = np.zeros(seeds.shape[0], dtype=np.uint8)
-    dmax = dark_cdf.shape[0] - 1
-    for t in range(seeds.shape[0]):
-        state = seeds[t]
-        survived = 0
-        any_n = False
-        for _ in range(k):
-            # fixed draw order per run keeps both backends in lockstep
-            state, z = _sm_next_nb(state)
-            u_photon = (z >> _SH11) * _TO_U01
-            state, z = _sm_next_nb(state)
-            u_survive = (z >> _SH11) * _TO_U01
-            state, z = _sm_next_nb(state)
-            u_port = (z >> _SH11) * _TO_U01
-            state, z = _sm_next_nb(state)
-            u_dark_e = (z >> _SH11) * _TO_U01
-            state, z = _sm_next_nb(state)
-            u_dark_n = (z >> _SH11) * _TO_U01
-            if u_photon >= photon_cdf[1]:
-                continue  # multi-photon pulse: dropped, not interfered
-            n_e = _bisect_right_nb(dark_cdf, u_dark_e)
-            if n_e > dmax:
-                n_e = dmax
-            n_n = _bisect_right_nb(dark_cdf, u_dark_n)
-            if n_n > dmax:
-                n_n = dmax
-            signal = u_photon >= photon_cdf[0] and u_survive < p_survive
-            signal_n = signal and u_port < p_click_n
-            tot_e = n_e + (1 if (signal and not signal_n) else 0)
-            tot_n = n_n + (1 if signal_n else 0)
-            if tot_e + tot_n == 1:
-                survived += 1
-                if tot_n == 1:
-                    any_n = True
-        if survived == 0:
-            out[t] = 2
-        elif any_n:
-            out[t] = 1
-    return out
+def noise_verdicts(p_zero: float, p_one: float, p_survive: float,
+                   p_click_n: float, dark_prob: float, dark_slots: int,
+                   k: int, trials: int, master_seed: int) -> np.ndarray:
+    """Simulate ``trials`` noisy k-run protocols; verdict codes per trial.
 
-
-def _noise_verdicts_np(photon_cdf, p_survive, p_click_n, dark_cdf, k, seeds):
-    states = seeds.copy()
-    trials = seeds.shape[0]
-    survived = np.zeros(trials, dtype=np.int64)
-    any_n = np.zeros(trials, dtype=np.bool_)
+    Per run: the source emits 0 / 1 / >=2 photons with probabilities
+    (p_zero, p_one, rest); a single photon reaches a detector with
+    probability ``p_survive`` and lands on the N detector with probability
+    ``p_click_n``; each detector additionally fires on dark counts,
+    Binomial(dark_slots, dark_prob).  A run with exactly one detection is
+    kept and labeled by its detector; anything else (no detection,
+    several detections, or a multi-photon pulse) is dropped.  Verdict per
+    trial: 0 = Equal (kept runs, none N), 1 = NotEqual (some kept run N),
+    2 = abort (no run kept).
+    """
+    photon_cdf = np.array([p_zero, p_zero + p_one], dtype=np.float64)
+    dark_cdf = binomial_cdf(int(dark_slots), float(dark_prob))
+    p_survive, p_click_n = float(p_survive), float(p_click_n)
+    states = derive_stream_seeds(master_seed, trials)
+    survived = np.zeros(states.shape[0], dtype=np.int64)
+    any_n = np.zeros(states.shape[0], dtype=np.bool_)
     dmax = dark_cdf.shape[0] - 1
-    for _ in range(k):
+    for _ in range(int(k)):
+        # five draws per run in this order; reordering changes every verdict
         states, u_photon = _advance_u01(states)
         states, u_survive = _advance_u01(states)
         states, u_port = _advance_u01(states)
@@ -289,64 +203,11 @@ def _noise_verdicts_np(photon_cdf, p_survive, p_click_n, dark_cdf, k, seeds):
     return np.where(survived == 0, 2, np.where(any_n, 1, 0)).astype(np.uint8)
 
 
-def noise_verdicts(p_zero: float, p_one: float, p_survive: float,
-                   p_click_n: float, dark_prob: float, dark_slots: int,
-                   k: int, trials: int, master_seed: int) -> np.ndarray:
-    """Simulate ``trials`` noisy k-run protocols; verdict codes per trial.
-
-    Per run: the source emits 0 / 1 / >=2 photons with probabilities
-    (p_zero, p_one, rest); a single photon reaches a detector with
-    probability ``p_survive`` and lands on the N detector with probability
-    ``p_click_n``; each detector additionally fires on dark counts,
-    Binomial(dark_slots, dark_prob).  A run with exactly one detection is
-    kept and labeled by its detector; anything else (no detection,
-    several detections, or a multi-photon pulse) is dropped.  Verdict per
-    trial: 0 = Equal (kept runs, none N), 1 = NotEqual (some kept run N),
-    2 = abort (no run kept).
-    """
-    photon_cdf = np.array([p_zero, p_zero + p_one], dtype=np.float64)
-    dark_cdf = binomial_cdf(int(dark_slots), float(dark_prob))
-    seeds = derive_stream_seeds(master_seed, trials)
-    if backend.active() == "numba":
-        return _noise_verdicts_nb(photon_cdf, float(p_survive),
-                                  float(p_click_n), dark_cdf, int(k), seeds)
-    return _noise_verdicts_np(photon_cdf, float(p_survive),
-                              float(p_click_n), dark_cdf, int(k), seeds)
-
-
 # ---------------------------------------------------------------------------
 # GF(2) minimum nonzero codeword weight
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _popcount64_nb(x):
-    x = x - ((x >> _S1) & _PC1)
-    x = (x & _PC2) + ((x >> _S2) & _PC2)
-    x = (x + (x >> _S4)) & _PC4
-    return np.int64((x * _PCM) >> _S56)
-
-
-@njit(cache=True)
-def _min_weight_nb(rows):
-    # Gray-code walk over all nonzero messages: each step XORs one
-    # generator row into the running codeword.
-    n, words = rows.shape
-    cw = np.zeros(words, dtype=np.uint64)
-    best = np.int64(64) * words + 1
-    total = 1 << n
-    for c in range(1, total):
-        b = 0
-        cc = c
-        while cc & 1 == 0:
-            cc >>= 1
-            b += 1
-        w = np.int64(0)
-        for j in range(words):
-            cw[j] ^= rows[b, j]
-            w += _popcount64_nb(cw[j])
-        if w < best:
-            best = w
-    return best
+_WEIGHT_BLOCK = 1 << 22  # message weights tallied per step
 
 
 def _pack_rows(generator: np.ndarray) -> np.ndarray:
@@ -358,138 +219,105 @@ def _pack_rows(generator: np.ndarray) -> np.ndarray:
     return packed.view("<u8").reshape(n, words)
 
 
-def _min_weight_np(generator: np.ndarray) -> int:
-    n, m = generator.shape
-    total = 1 << n
-    block = max(1, (1 << 24) // max(m, 1))
-    shifts = np.arange(n, dtype=np.uint32)
-    best = m + 1
-    for start in range(1, total, block):
-        stop = min(start + block, total)
-        msgs = np.arange(start, stop, dtype=np.uint32)
-        bits = ((msgs[:, None] >> shifts) & 1).astype(np.uint8)
-        weights = ((bits @ generator) & 1).sum(axis=1)
-        best = min(best, int(weights.min()))
-    return best
+def _xor_span(words: np.ndarray) -> np.ndarray:
+    # entry c is the XOR of the words selected by the bits of c
+    span = np.zeros(1 << words.shape[0], dtype=np.uint64)
+    for i, word in enumerate(words):
+        span[1 << i:2 << i] = span[:1 << i] ^ word
+    return span
 
 
 def min_nonzero_weight(generator: np.ndarray) -> int:
-    """Minimum Hamming weight over all 2^n - 1 nonzero messages."""
+    """Minimum Hamming weight over all 2^n - 1 nonzero messages.
+
+    Meet in the middle: message ``hi * 2^h + lo`` (h = n // 2) encodes to
+    the XOR of the span entries ``lo`` of the low h rows and ``hi`` of the
+    high rows.  Weights are tallied one 64-column word at a time for a
+    block of ``hi`` values, so memory is flat in the code length, and only
+    the zero message (``hi = lo = 0``) is skipped.
+    """
     g = np.ascontiguousarray(generator, dtype=np.uint8)
     if g.ndim != 2:
         raise ValueError("generator must be a 2-d bit matrix")
-    n = g.shape[0]
+    n, m = g.shape
     if n > 24:
         raise ValueError("exhaustive weight scan capped at n = 24 messages")
-    if backend.active() == "numba":
-        return int(_min_weight_nb(_pack_rows(g)))
-    return _min_weight_np(g)
+    columns = _pack_rows(g).T  # one row of n words per 64 code columns
+    h = n // 2
+    block = max(1, _WEIGHT_BLOCK >> h)
+    best = m + 1
+    for start in range(0, 1 << (n - h), block):
+        stop = min(start + block, 1 << (n - h))
+        weights = np.zeros((stop - start, 1 << h), dtype=np.int64)
+        for words in columns:
+            hi = _xor_span(words[h:])[start:stop]
+            weights += np.bitwise_count(hi[:, None] ^ _xor_span(words[:h]))
+        if start == 0:
+            weights[0, 0] = m + 1  # the zero message
+        best = min(best, int(weights.min()))
+    return best
 
 
 # ---------------------------------------------------------------------------
 # exhaustive simultaneous-message-passing strategy search
 # ---------------------------------------------------------------------------
 #
-# Strategy encoding (shared by both backends and by qfp.classical):
+# Strategy encoding (shared with qfp.classical):
 #   alice map index ai: digit x in base a  -> message alice sends on input x
 #   bob map index bi:   digit y in base b  -> message bob sends on input y
 #   referee mask:       bit (i*b + j) set  -> referee answers Equal when
 #                       alice sent message i and bob sent message j
-# Scan order is ai-major, then bi, then mask ascending; the first strategy
-# achieving the minimum is returned, so both backends agree on the witness.
 
-@njit(cache=True)
-def _smp_search_nb(q, a, b):
-    n_alice = a**q
-    n_bob = b**q
-    cells = a * b
-    n_masks = 1 << cells
-    alice_map = np.empty(q, dtype=np.int64)
-    bob_map = np.empty(q, dtype=np.int64)
-    n_eq = np.empty(cells, dtype=np.int64)
-    n_neq = np.empty(cells, dtype=np.int64)
-    best = q * q + 1
-    best_ai = -1
-    best_bi = -1
-    best_mask = -1
-    for ai in range(n_alice):
-        v = ai
-        for x in range(q):
-            alice_map[x] = v % a
-            v //= a
-        for bi in range(n_bob):
-            v = bi
-            for y in range(q):
-                bob_map[y] = v % b
-                v //= b
-            for c in range(cells):
-                n_eq[c] = 0
-                n_neq[c] = 0
-            for x in range(q):
-                for y in range(q):
-                    cell = alice_map[x] * b + bob_map[y]
-                    if x == y:
-                        n_eq[cell] += 1
-                    else:
-                        n_neq[cell] += 1
-            for mask in range(n_masks):
-                err = 0
-                for c in range(cells):
-                    if (mask >> c) & 1:
-                        err += n_neq[c]  # answered Equal on unequal pairs
-                    else:
-                        err += n_eq[c]
-                if err < best:
-                    best = err
-                    best_ai = ai
-                    best_bi = bi
-                    best_mask = mask
-    return best, best_ai, best_bi, best_mask
+_PAIR_BLOCK = 1 << 15  # (alice map, bob map) pairs per step
 
 
-def _smp_search_np(q, a, b):
-    cells = a * b
-    n_masks = 1 << cells
-    mask_block = min(n_masks, 1 << 16)
-    shifts = np.arange(cells, dtype=np.int64)
-    best = q * q + 1
-    best_ai = best_bi = best_mask = -1
-    digits_a = np.arange(a**q, dtype=np.int64)
-    digits_b = np.arange(b**q, dtype=np.int64)
-    for ai in digits_a:
-        alice_map = (ai // a ** np.arange(q, dtype=np.int64)) % a
-        for bi in digits_b:
-            bob_map = (bi // b ** np.arange(q, dtype=np.int64)) % b
-            cell = alice_map[:, None] * b + bob_map[None, :]
-            eq_cells = np.diagonal(cell)
-            n_eq = np.bincount(eq_cells, minlength=cells)
-            n_all = np.bincount(cell.ravel(), minlength=cells)
-            n_neq = n_all - n_eq
-            for start in range(0, n_masks, mask_block):
-                masks = np.arange(start, min(start + mask_block, n_masks),
-                                  dtype=np.int64)
-                bits = (masks[:, None] >> shifts) & 1
-                err = bits @ n_neq + (1 - bits) @ n_eq
-                local = int(err.min())
-                if local < best:
-                    best = local
-                    best_ai = int(ai)
-                    best_bi = int(bi)
-                    best_mask = start + int(err.argmin())
-    return best, best_ai, best_bi, best_mask
+def _digits(index: np.ndarray, base: int, q: int) -> np.ndarray:
+    # row r: the q base-``base`` digits of index[r], least significant first
+    return index[:, None] // base ** np.arange(q, dtype=np.int64) % base
 
 
 def smp_exhaustive_search(q: int, alice_msgs: int,
                           bob_msgs: int) -> tuple[int, int, int, int]:
-    """Scan every deterministic (alice, bob, referee) strategy triple.
+    """Minimum over every deterministic (alice, bob, referee) strategy triple.
 
     Returns ``(min_misclassified_pairs, alice_index, bob_index,
-    referee_mask)`` under the encoding documented above.  Every referee
-    table is evaluated; the per-cell pair counts only factor the error sum.
+    referee_mask)`` under the encoding documented above.
+
+    Once Alice's and Bob's maps are fixed, each referee cell (i, j) is
+    decided on its own: answering Equal there errs on its ``n_neq`` unequal
+    input pairs, answering NotEqual errs on its ``n_eq`` equal ones.  So the
+    best referee costs ``sum(min(n_eq, n_neq))`` over the cells, and the
+    optimal masks are exactly those with bit (i, j) set where
+    ``n_neq < n_eq``, clear where ``n_neq > n_eq``, and free on ties.  With
+    every tie clear this is the numerically smallest optimal mask: the
+    first optimum an ascending scan over all ``2^(a*b)`` masks would meet.
+    Map pairs are visited in (ai, bi) order, ai-major, in blocks, and only
+    a strictly smaller error replaces the incumbent, so the witness is the
+    first optimal strategy of the full ai -> bi -> mask scan.
     """
-    if alice_msgs * bob_msgs > 62:
+    a, b = alice_msgs, bob_msgs
+    cells = a * b
+    if cells > 62:
         raise ValueError("referee table exceeds the 64-bit mask encoding")
-    if backend.active() == "numba":
-        best, ai, bi, mask = _smp_search_nb(q, alice_msgs, bob_msgs)
-        return int(best), int(ai), int(bi), int(mask)
-    return _smp_search_np(q, alice_msgs, bob_msgs)
+    bit = np.left_shift(1, np.arange(cells, dtype=np.int64))
+    n_bob = b**q
+    n_pairs = a**q * n_bob
+    best = (q * q + 1, -1, -1, -1)
+    for start in range(0, n_pairs, _PAIR_BLOCK):
+        pair = np.arange(start, min(start + _PAIR_BLOCK, n_pairs),
+                         dtype=np.int64)
+        alice, bob = _digits(pair // n_bob, a, q), _digits(pair % n_bob, b, q)
+        row = np.arange(pair.size)[:, None]
+        n_a = np.bincount((row * a + alice).ravel(), minlength=pair.size * a)
+        n_b = np.bincount((row * b + bob).ravel(), minlength=pair.size * b)
+        n_eq = np.bincount((row * cells + alice * b + bob).ravel(),
+                           minlength=pair.size * cells).reshape(-1, cells)
+        n_neq = (n_a.reshape(-1, a, 1) * n_b.reshape(-1, 1, b)).reshape(
+            -1, cells) - n_eq
+        err = np.minimum(n_eq, n_neq).sum(axis=1)
+        j = int(err.argmin())
+        if err[j] < best[0]:
+            mask = int(bit[n_neq[j] < n_eq[j]].sum())
+            best = (int(err[j]), int(pair[j] // n_bob),
+                    int(pair[j] % n_bob), mask)
+    return best

@@ -26,11 +26,21 @@ def render_value(value) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` through a private temp file and a rename.
+
+    The temp file sits next to ``path`` under a random name, so concurrent
+    writers never share one, and is removed if the write or rename fails.
+    """
     path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def csv_text(fieldnames: Sequence[str],

@@ -1,6 +1,7 @@
 """Classical baselines: exhaustive SMP search, bound calculators,
 break-even arithmetic."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -64,9 +65,20 @@ class TestBruteForceSmp:
         with pytest.raises(DomainError):
             brute_force_smp(0, 1, 1)
 
-    def test_backend_parity(self, any_backend):
-        result = brute_force_smp(3, 3, 2)
-        assert result.average_error == Fraction(2, 9)
+    @pytest.mark.parametrize("kernel", ["numpy"])
+    def test_backend_parity(self, kernel):
+        # the search kernel against a pure-Python scan of every strategy
+        assert brute_force_smp(3, 3, 2).average_error == Fraction(2, 9)
+        q, a, b = 3, 2, 2
+        verdicts = (Verdict.NOT_EQUAL, Verdict.EQUAL)
+        best = min(
+            Strategy(alice, bob, tuple(
+                tuple(verdicts[(mask >> (i * b + j)) & 1] for j in range(b))
+                for i in range(a))).misclassified_pairs()
+            for alice in itertools.product(range(a), repeat=q)
+            for bob in itertools.product(range(b), repeat=q)
+            for mask in range(1 << (a * b)))
+        assert brute_force_smp(q, a, b).misclassified_pairs == best
 
 
 class TestSharedRandomnessFloor:

@@ -1,11 +1,14 @@
-"""Kernel-level tests: stream reproducibility, backend parity, statistics."""
+"""Kernel-level tests: stream reproducibility, golden vectors, oracles,
+statistics."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from qfp import backend, kernels
+from qfp import kernels
+from qfp.ecc import random_linear_code
 
 
 # The first outputs of splitmix64 from seed 0 are fixed by the algorithm
@@ -54,15 +57,19 @@ class TestStreams:
         assert abs(u.mean() - 0.5) < 0.02
 
 
-class TestClickCounts:
-    def test_backend_parity(self, any_backend):
-        probs = np.full(8, 0.125)
-        counts = kernels.click_counts(probs, 7, 500, 123)
-        backend.set_backend("numpy")
-        reference = kernels.click_counts(probs, 7, 500, 123)
-        assert np.array_equal(counts, reference)
+def _sha256(array):
+    return hashlib.sha256(array.tobytes()).hexdigest()
 
-    def test_single_trial_replay(self, any_backend):
+
+class TestClickCounts:
+    def test_golden_bytes(self):
+        counts = kernels.click_counts(np.array([0.1, 0.4, 0.3, 0.2]), 9,
+                                      1000, 77)
+        assert counts.dtype == np.int64
+        assert _sha256(counts) == ("f9b0d252b83aec3f7a3a4602abc7d242"
+                                   "8c8b15c68914f2b5a5d6e63605264e78")
+
+    def test_single_trial_replay(self):
         probs = np.array([0.1, 0.4, 0.3, 0.2])
         counts = kernels.click_counts(probs, 9, 50, 77)
         seeds = kernels.derive_stream_seeds(77, 50)
@@ -70,12 +77,12 @@ class TestClickCounts:
             idx = kernels.sample_indices(probs, 9, int(seeds[i]))
             assert int((idx >= 2).sum()) == counts[i]
 
-    def test_zero_mass_outcomes_unreachable(self, any_backend):
+    def test_zero_mass_outcomes_unreachable(self):
         probs = np.array([0.5, 0.5, 0.0, 0.0])
         counts = kernels.click_counts(probs, 20, 2_000, 5)
         assert counts.max() == 0
 
-    def test_distribution_sanity(self, any_backend):
+    def test_distribution_sanity(self):
         # single draw per trial, pN = 0.25: frequency within 5 sigma
         probs = np.array([0.375, 0.375, 0.125, 0.125])
         counts = kernels.click_counts(probs, 1, 40_000, 99)
@@ -90,18 +97,6 @@ class TestClickCounts:
             kernels.click_counts(np.array([0.0, 0.0]), 1, 1, 0)
         with pytest.raises(ValueError):
             kernels.click_counts(np.array([0.5, 0.25, 0.25]), 1, 1, 0)
-
-
-class TestBackendSelection:
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            backend.set_backend("bogus")
-
-    def test_round_trip(self):
-        previous = backend.active()
-        assert backend.set_backend("numpy") == "numpy"
-        assert backend.active() == "numpy"
-        backend.set_backend(previous)
 
 
 class TestBinomialCdf:
@@ -127,79 +122,130 @@ class TestBinomialCdf:
 
 
 class TestNoiseVerdicts:
-    def test_backend_parity(self, any_backend):
+    def test_golden_bytes(self):
         verdicts = kernels.noise_verdicts(0.2, 0.7, 0.9, 0.4, 1e-3, 200,
                                           6, 800, 2024)
-        backend.set_backend("numpy")
-        reference = kernels.noise_verdicts(0.2, 0.7, 0.9, 0.4, 1e-3, 200,
-                                           6, 800, 2024)
-        assert np.array_equal(verdicts, reference)
+        assert verdicts.dtype == np.uint8
+        assert _sha256(verdicts) == ("458f31734591c3e720e6bb90d65a6020"
+                                     "4474138fde781abf1548c7c87091501c")
 
-    def test_clean_limit_never_aborts(self, any_backend):
+    def test_clean_limit_never_aborts(self):
         # perfect source and detectors, no dark counts
         verdicts = kernels.noise_verdicts(0.0, 1.0, 1.0, 0.5, 0.0, 100,
                                           4, 3_000, 11)
         assert not np.any(verdicts == 2)
 
-    def test_all_vacuum_always_aborts(self, any_backend):
+    def test_all_vacuum_always_aborts(self):
         verdicts = kernels.noise_verdicts(1.0, 0.0, 1.0, 0.5, 0.0, 100,
                                           3, 500, 12)
         assert np.all(verdicts == 2)
 
-    def test_clean_equal_inputs_never_flag(self, any_backend):
+    def test_clean_equal_inputs_never_flag(self):
         # pN = 0 and no dark counts: NotEqual is impossible
         verdicts = kernels.noise_verdicts(0.0, 1.0, 1.0, 0.0, 0.0, 100,
                                           5, 5_000, 13)
         assert not np.any(verdicts == 1)
 
 
-class TestMinWeight:
-    def test_backend_parity_random_generators(self, any_backend):
-        for seed in range(5):
-            words = kernels.splitmix64_stream(seed, 6)
-            gen = ((words[:, None] >> np.arange(24, dtype=np.uint64)) &
-                   np.uint64(1)).astype(np.uint8)
-            got = kernels.min_nonzero_weight(gen)
-            backend.set_backend("numpy")
-            assert got == kernels.min_nonzero_weight(gen)
-            backend.set_backend(any_backend)
+def _reference_min_weight(gen):
+    """Direct enumeration: weight of ``msg @ gen`` for every nonzero msg."""
+    n = gen.shape[0]
+    msgs = np.arange(1, 1 << n, dtype=np.int64)
+    bits = (msgs[:, None] >> np.arange(n)) & 1
+    return int(((bits @ gen.astype(np.int64)) & 1).sum(axis=1).min())
 
-    def test_identity_generator(self, any_backend):
+
+class TestMinWeight:
+    def test_identity_generator(self):
         assert kernels.min_nonzero_weight(np.eye(6, dtype=np.uint8)) == 1
 
-    def test_exhaustive_oracle_small(self, any_backend):
-        # compare against direct enumeration of all nonzero messages
-        rng = np.random.default_rng(3)
-        gen = rng.integers(0, 2, size=(5, 9), dtype=np.uint8)
-        best = 10
-        for msg in range(1, 1 << 5):
-            bits = np.array([(msg >> j) & 1 for j in range(5)],
-                            dtype=np.uint8)
-            best = min(best, int(((bits @ gen) % 2).sum()))
-        assert kernels.min_nonzero_weight(gen) == best
+    # n = 1, odd n, m > 64 and m not a multiple of 64, several words
+    @pytest.mark.parametrize("n,m", [(1, 7), (2, 3), (5, 9), (3, 130),
+                                     (7, 64), (11, 200), (16, 40)])
+    def test_matches_direct_enumeration(self, n, m):
+        rng = np.random.default_rng(n * 1000 + m)
+        gen = rng.integers(0, 2, size=(n, m), dtype=np.uint8)
+        assert kernels.min_nonzero_weight(gen) == _reference_min_weight(gen)
 
-    def test_wide_generator_multiword(self, any_backend):
-        # m > 64 exercises the multi-word packed path
+    def test_blocked_scan(self, monkeypatch):
+        # one hi value per block; the minimum is the last row on its own,
+        # which only counts if the zero-message skip stays in block 0
+        monkeypatch.setattr(kernels, "_WEIGHT_BLOCK", 16)
+        rng = np.random.default_rng(9)
+        gen = rng.integers(0, 2, size=(9, 70), dtype=np.uint8)
+        gen[-1] = 0
+        gen[-1, 66] = 1
+        assert kernels.min_nonzero_weight(gen) == _reference_min_weight(gen)
+        assert _reference_min_weight(gen) == 1
+
+    def test_wide_generator_multiword(self):
+        # the minimum sits on one word boundary: rows span 0..69 and 60..129
         gen = np.zeros((3, 130), dtype=np.uint8)
         gen[0, :70] = 1
         gen[1, 60:130] = 1
         gen[2, 0] = 1
-        got = kernels.min_nonzero_weight(gen)
-        backend.set_backend("numpy")
-        assert got == kernels.min_nonzero_weight(gen) == 1
+        assert kernels.min_nonzero_weight(gen) == 1
+
+    def test_golden_random_codes(self):
+        assert random_linear_code(16, 40, seed=1).t == 7
+        assert random_linear_code(20, 64, seed=7).t == 11
+
+    def test_size_cap(self):
+        with pytest.raises(ValueError):
+            kernels.min_nonzero_weight(np.zeros((25, 4), dtype=np.uint8))
+
+
+def _reference_smp_search(q, a, b):
+    """Full scan: every alice map, bob map and referee mask, in that order.
+
+    Returns the first strategy reaching the minimum number of misclassified
+    input pairs, as ``(errors, alice_index, bob_index, referee_mask)``.
+    """
+    cells = a * b
+    n_masks = 1 << cells
+    shifts = np.arange(cells, dtype=np.int64)
+    best = (q * q + 1, -1, -1, -1)
+    for ai in range(a**q):
+        alice_map = (ai // a ** np.arange(q, dtype=np.int64)) % a
+        for bi in range(b**q):
+            bob_map = (bi // b ** np.arange(q, dtype=np.int64)) % b
+            cell = alice_map[:, None] * b + bob_map[None, :]
+            n_eq = np.bincount(np.diagonal(cell), minlength=cells)
+            n_neq = np.bincount(cell.ravel(), minlength=cells) - n_eq
+            masks = np.arange(n_masks, dtype=np.int64)
+            bits = (masks[:, None] >> shifts) & 1
+            err = bits @ n_neq + (1 - bits) @ n_eq
+            if int(err.min()) < best[0]:
+                best = (int(err.min()), ai, bi, int(err.argmin()))
+    return best
+
+
+SMP_SHAPES = [(3, 3, 2), (4, 3, 3), (2, 2, 2), (3, 3, 3), (2, 1, 1),
+              (3, 2, 2), (4, 2, 2), (3, 2, 3), (4, 4, 2)]
 
 
 class TestSmpSearch:
-    def test_backend_parity_including_witness(self, any_backend):
-        got = kernels.smp_exhaustive_search(3, 3, 2)
-        backend.set_backend("numpy")
-        assert got == kernels.smp_exhaustive_search(3, 3, 2)
+    def test_golden_witnesses(self):
+        assert kernels.smp_exhaustive_search(3, 3, 2) == (2, 1, 1, 8)
+        assert kernels.smp_exhaustive_search(4, 3, 3) == (2, 5, 5, 272)
 
-    def test_trit_bit_floor(self, any_backend):
+    @pytest.mark.parametrize("q,a,b", SMP_SHAPES)
+    def test_matches_full_scan_including_witness(self, q, a, b):
+        assert kernels.smp_exhaustive_search(q, a, b) == \
+            _reference_smp_search(q, a, b)
+
+    @pytest.mark.parametrize("q,a,b", [(3, 3, 2), (3, 3, 3)])
+    def test_blocked_scan_keeps_first_witness(self, monkeypatch, q, a, b):
+        # ties across block boundaries must keep the earlier pair
+        monkeypatch.setattr(kernels, "_PAIR_BLOCK", 7)
+        assert kernels.smp_exhaustive_search(q, a, b) == \
+            _reference_smp_search(q, a, b)
+
+    def test_trit_bit_floor(self):
         best, _, _, _ = kernels.smp_exhaustive_search(3, 3, 2)
         assert best == 2  # 2 of 9 pairs
 
-    def test_full_information_is_perfect(self, any_backend):
+    def test_full_information_is_perfect(self):
         assert kernels.smp_exhaustive_search(2, 2, 2)[0] == 0
         assert kernels.smp_exhaustive_search(3, 3, 3)[0] == 0
 

@@ -227,3 +227,15 @@ class TestCsvDump:
         dump_amplitudes_csv(state, path)
         back = load_amplitudes_csv(path)
         assert np.array_equal(back.amps, state.amps)
+
+    @pytest.mark.parametrize("body", [
+        pytest.param("", id="header-only"),
+        pytest.param("port,E,1,1.0\n", id="four-fields"),
+        pytest.param("photon,E,1,1.0,0.0\n", id="unknown-stage"),
+        pytest.param("port,E,0,1.0,0.0\nport,N,1,0.0,0.0\n", id="index-0"),
+        pytest.param("port,E,9,1.0,0.0\n", id="index-past-rows"),
+        pytest.param("port,E,one,1.0,0.0\n", id="non-integer-index"),
+    ])
+    def test_malformed_dump_raises_dimension_error(self, body):
+        with pytest.raises(DimensionError):
+            load_amplitudes_csv(io.StringIO("stage,side,index,re,im\n" + body))

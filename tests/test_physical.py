@@ -97,7 +97,7 @@ class TestFeasibleD:
 
 
 class TestNoisyProtocol:
-    def test_noiseless_deterministic_matches_clean_engine(self, any_backend):
+    def test_noiseless_deterministic_matches_clean_engine(self):
         model = ImperfectionModel(deterministic_source=True,
                                   transmission=1.0, detector_efficiency=1.0,
                                   dark_count_prob=0.0)
@@ -132,7 +132,7 @@ class TestNoisyProtocol:
         sigma = math.sqrt(expected * (1 - expected) / trials)
         assert abs(rates.false_equal_rate - expected) < 3 * sigma
 
-    def test_dark_counts_break_one_sidedness(self, any_backend):
+    def test_dark_counts_break_one_sidedness(self):
         # equal inputs can now be flagged NotEqual, but no more often than
         # the chance of any dark count on the N detector's k*d slots
         model = ImperfectionModel(mean_photon_number=0.1, transmission=0.5,
@@ -169,7 +169,7 @@ class TestNoisyProtocol:
                                          slots=33356)
         assert a == b
 
-    def test_reproducible_given_seed(self, any_backend):
+    def test_reproducible_given_seed(self):
         model = ImperfectionModel(mean_photon_number=0.2,
                                   dark_count_prob=1e-4)
         a = conditional_error_with_noise(model, 0.3, 4, 2_000, seed=7,

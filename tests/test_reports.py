@@ -1,0 +1,31 @@
+"""Report emission: atomic writes."""
+
+import os
+
+import pytest
+
+from qfp.reports import atomic_write_text
+
+
+def test_write_replaces_contents_and_leaves_no_temp(tmp_path):
+    path = tmp_path / "report.csv"
+    path.write_text("old\n")
+    atomic_write_text(path, "a,b\n1,2\n")
+    assert path.read_bytes() == b"a,b\n1,2\n"
+    assert os.listdir(tmp_path) == ["report.csv"]
+
+
+def test_mode_matches_plain_open(tmp_path):
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    atomic_write_text(tmp_path / "atomic", "x")
+    assert (tmp_path / "atomic").stat().st_mode == plain.stat().st_mode
+
+
+def test_failed_rename_removes_temp(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(OSError):
+        atomic_write_text(target, "x")
+    assert os.listdir(tmp_path) == ["taken"]
+    assert os.listdir(target) == []
