@@ -21,10 +21,10 @@ from .physical import (FeasibleD, ImperfectionModel, NoiseRates, PhotonSplit,
                        conditional_error_with_noise, feasible_d,
                        photon_number_distribution)
 from .protocol import (BatchResult, ProtocolParams, RunResult, Verdict,
-                       amplified_error_bound, batch_report_rows,
-                       build_branch_state, exact_report_row,
-                       phase_protocol_average_error, phase_protocol_pn,
-                       phase_protocol_pn_closed_form, repetitions_needed,
-                       run_batch, run_exact, run_sampled)
+                       amplified_error_bound, batch_report_csv,
+                       batch_report_json, build_branch_state,
+                       exact_report_row, phase_protocol_average_error,
+                       phase_protocol_pn, phase_protocol_pn_closed_form,
+                       repetitions_needed, run_batch, run_exact, run_sampled)
 
 __version__ = "0.1.0"

@@ -180,13 +180,16 @@ def _build_code(args) -> ecc.Code:
     raise DomainError(f"unknown code kind {args.code!r}")
 
 
+def _write(path, text) -> None:
+    reports.atomic_write_text(path, text)
+    print(f"wrote {path}")
+
+
 def _emit(args, fieldnames, rows, payload) -> None:
     if args.out:
-        reports.write_csv(args.out, fieldnames, rows)
-        print(f"wrote {args.out}")
+        _write(args.out, reports.csv_text(fieldnames, rows))
     if args.json:
-        reports.write_json(args.json, payload)
-        print(f"wrote {args.json}")
+        _write(args.json, reports.json_text(payload))
 
 
 def cmd_run(args) -> int:
@@ -217,32 +220,34 @@ def cmd_run(args) -> int:
     _require(args, ["x", "y"])
     if args.exact:
         row = protocol.exact_report_row(code, args.x, args.y)
-        rows = [row]
-        payload = {"command": "run", "mode": "exact", "rows": rows}
         print(f"exact: pN = {row['pN_exact']!r} verdict = {row['verdict']}")
+        _emit(args, protocol.RUN_CSV_FIELDS, [row],
+              {"command": "run", "mode": "exact", "rows": [row]})
+        return 0
+
+    _default(args, "epsilon", 0.01)
+    _default(args, "trials", 1)
+    _default(args, "seed", 0)
+    if args.k is not None:
+        params = protocol.ProtocolParams(code.n, code, args.k, args.epsilon)
     else:
-        _default(args, "epsilon", 0.01)
-        _default(args, "trials", 1)
-        _default(args, "seed", 0)
-        if args.k is not None:
-            params = protocol.ProtocolParams(code.n, code, args.k,
-                                             args.epsilon)
-        else:
-            params = protocol.ProtocolParams.for_error_target(code,
-                                                              args.epsilon)
-        batch = protocol.run_batch(params, args.x, args.y, args.seed,
-                                   args.trials)
-        rows = protocol.batch_report_rows(params, args.x, args.y, batch)
+        params = protocol.ProtocolParams.for_error_target(code, args.epsilon)
+    batch = protocol.run_batch(params, args.x, args.y, args.seed,
+                               args.trials)
+    print(f"master_seed = {batch.master_seed}")
+    print(f"sampled {batch.trials} trials, k = {params.k}: "
+          f"NotEqual fraction = {batch.not_equal_fraction!r} "
+          f"(exact pN = {batch.pn_exact!r})")
+    if args.out:
+        _write(args.out, protocol.batch_report_csv(params, args.x, args.y,
+                                                   batch))
+    if args.json:
         payload = {"command": "run", "mode": "sampled",
                    "master_seed": batch.master_seed, "k": params.k,
                    "trials": batch.trials,
-                   "not_equal_fraction": batch.not_equal_fraction,
-                   "rows": rows}
-        print(f"master_seed = {batch.master_seed}")
-        print(f"sampled {batch.trials} trials, k = {params.k}: "
-              f"NotEqual fraction = {batch.not_equal_fraction!r} "
-              f"(exact pN = {batch.pn_exact!r})")
-    _emit(args, protocol.RUN_CSV_FIELDS, rows, payload)
+                   "not_equal_fraction": batch.not_equal_fraction}
+        _write(args.json, protocol.batch_report_json(params, args.x, args.y,
+                                                     batch, payload))
     return 0
 
 
@@ -307,8 +312,7 @@ def cmd_classical(args) -> int:
                    "classical_at_n_star": rhs,
                    "quantum_at_half": lhs_h, "classical_at_half": rhs_h}
         if args.json:
-            reports.write_json(args.json, payload)
-            print(f"wrote {args.json}")
+            _write(args.json, reports.json_text(payload))
         return 0
 
     _require(args, ["q", "alice", "bob"])
@@ -444,8 +448,7 @@ def cmd_feasibility(args) -> int:
     print(f"d_vacuum = {slots.d_vacuum}, d_fiber = {slots.d_fiber}, "
           f"d_nominal_3us = {slots.d_nominal_3us}")
     if args.json:
-        reports.write_json(args.json, payload)
-        print(f"wrote {args.json}")
+        _write(args.json, reports.json_text(payload))
     return 0
 
 

@@ -105,24 +105,25 @@ def click_counts(probs: np.ndarray, k: int, trials: int,
 
     ``probs`` holds the 2m per-mode probabilities ordered as all equal-port
     modes followed by all not-equal-port modes; an outcome index >= m is an
-    N click.  Each trial draws ``k`` independent outcomes by inverse CDF.
-    Outcomes with exactly zero probability are structurally unreachable
-    (searching for the first cumulative value above ``u`` can never land on
-    a zero-mass slot), which keeps one-sided error exact.
+    N click.  Each trial draws ``k`` independent outcomes by inverse CDF,
+    as :func:`sample_indices` does, but only the port is kept: the first
+    cumulative value above ``u`` lies at index >= m iff
+    ``u >= cum[m - 1]``, one comparison per draw.  A ``u`` past the table
+    takes the last positive outcome, so with no N-port mass no draw clicks
+    N.  Outcomes with exactly zero probability are structurally
+    unreachable, which keeps one-sided error exact.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim == 1 and probs.shape[0] % 2:
         raise ValueError("per-mode vector must hold 2m port probabilities")
     cum, last_pos = _prepare_distribution(probs)
     m = probs.shape[0] // 2
-    size = cum.shape[0]
+    threshold = cum[m - 1] if last_pos >= m else np.inf
     states = derive_stream_seeds(master_seed, trials)
     counts = np.zeros(states.shape[0], dtype=np.int64)
     for _ in range(int(k)):
         states, u = _advance_u01(states)
-        idx = np.searchsorted(cum, u, side="right")
-        idx = np.where(idx >= size, last_pos, idx)
-        counts += idx >= m
+        counts += u >= threshold
     return counts
 
 
@@ -145,7 +146,8 @@ def sample_indices(probs: np.ndarray, k: int, seed: int) -> np.ndarray:
 def binomial_cdf(n: int, p: float) -> np.ndarray:
     """CDF table P(X <= j) for j = 0..n, Binomial(n, p), built in float64.
 
-    Dark-count totals are sampled by bisecting this table with a uniform.
+    The full table, in O(n); :func:`noise_verdicts` uses only its first
+    two entries (see :func:`_dark_count_cdf`).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -157,6 +159,20 @@ def binomial_cdf(n: int, p: float) -> np.ndarray:
     for j in range(n):
         pmf[j + 1] = pmf[j] * ((n - j) / (j + 1.0)) * (p / q)
     return np.cumsum(pmf)
+
+
+def _dark_count_cdf(n: int, p: float) -> np.ndarray:
+    # P(X = 0) and P(X <= 1) of Binomial(n, p) (just P(X = 0) when n = 0),
+    # with the float operations of binomial_cdf, so equal to its first entries
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if not 0.0 <= p < 1.0:
+        raise ValueError("p must lie in [0, 1)")
+    q = 1.0 - p
+    p0 = q**n
+    if n == 0:
+        return np.array([p0])
+    return np.array([p0, p0 + p0 * n * (p / q)])
 
 
 def noise_verdicts(p_zero: float, p_one: float, p_survive: float,
@@ -175,12 +191,15 @@ def noise_verdicts(p_zero: float, p_one: float, p_survive: float,
     2 = abort (no run kept).
     """
     photon_cdf = np.array([p_zero, p_zero + p_one], dtype=np.float64)
-    dark_cdf = binomial_cdf(int(dark_slots), float(dark_prob))
+    # a verdict only tells 0, 1 and >= 2 dark counts apart, so the table
+    # stops at P(X <= 1) and counts are capped at 2
+    dark_slots = int(dark_slots)
+    dark_cdf = _dark_count_cdf(dark_slots, float(dark_prob))
     p_survive, p_click_n = float(p_survive), float(p_click_n)
     states = derive_stream_seeds(master_seed, trials)
     survived = np.zeros(states.shape[0], dtype=np.int64)
     any_n = np.zeros(states.shape[0], dtype=np.bool_)
-    dmax = dark_cdf.shape[0] - 1
+    dmax = min(dark_slots, 2)
     for _ in range(int(k)):
         # five draws per run in this order; reordering changes every verdict
         states, u_photon = _advance_u01(states)

@@ -16,12 +16,14 @@ included; they are the q-ary analogues of the same interferometer.
 from __future__ import annotations
 
 import enum
+import json
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from . import kernels
+from . import kernels, reports
 from .ecc import Code, as_bits, bits_to_hex, encode
 from .errors import DimensionError, DomainError
 from .modes import (ModeLabel, ModeState, Stage, apply_phases,
@@ -259,18 +261,61 @@ def exact_report_row(code: Code, x, y) -> dict:
     }
 
 
-def batch_report_rows(params: ProtocolParams, x, y,
-                      batch: BatchResult) -> list[dict]:
-    """One CSV/JSON row per sampled trial, replayable from its seed."""
-    xh, yh = bits_to_hex(x), bits_to_hex(y)
-    rows = []
-    for i in range(batch.trials):
-        clicks_n = int(batch.n_clicks[i])
-        rows.append({
-            "n": params.code.n, "m": params.code.m, "t": params.code.t,
-            "k": params.k, "x_hex": xh, "y_hex": yh,
-            "pN_exact": batch.pn_exact,
-            "verdict": (Verdict.NOT_EQUAL if clicks_n else Verdict.EQUAL).value,
-            "n_clicks_N": clicks_n, "seed": int(batch.trial_seeds[i]),
-        })
-    return rows
+_ROW_BLOCK = 1 << 14  # trials rendered per report chunk
+_SLOT = "<slot>"  # stands for a per-trial value in a rendered template row
+
+
+def _template_row(params: ProtocolParams, x, y, batch: BatchResult) -> dict:
+    return {
+        "n": params.code.n, "m": params.code.m, "t": params.code.t,
+        "k": params.k, "x_hex": bits_to_hex(x), "y_hex": bits_to_hex(y),
+        "pN_exact": batch.pn_exact,
+        "verdict": _SLOT, "n_clicks_N": _SLOT, "seed": _SLOT,
+    }
+
+
+def _stream_rows(text: str, encode, batch: BatchResult) -> Iterator[str]:
+    # ``text`` is a whole report holding two template rows and ``encode``
+    # renders one string value in its format.  Both rows agree except at
+    # the slots, so splitting at the rendered slot gives the text before
+    # the first row, the pieces inside a row, the joint between rows and
+    # the text after the last row.  Only the per-trial values are then
+    # rendered, one block of trials per chunk.
+    head, *inner, joint, _, _, tail = text.split(encode(_SLOT))
+    row = "{}".join(["", *(p.replace("{", "{{").replace("}", "}}")
+                           for p in inner), ""])
+    equal = encode(Verdict.EQUAL.value)
+    not_equal = encode(Verdict.NOT_EQUAL.value)
+    yield head
+    for start in range(0, batch.trials, _ROW_BLOCK):
+        clicks = batch.n_clicks[start:start + _ROW_BLOCK]
+        verdicts = np.where(clicks > 0, not_equal, equal).tolist()
+        seeds = batch.trial_seeds[start:start + _ROW_BLOCK].tolist()
+        rows = joint.join(map(row.format, verdicts, clicks.tolist(), seeds))
+        yield rows if start == 0 else joint + rows
+    yield tail
+
+
+def batch_report_csv(params: ProtocolParams, x, y,
+                     batch: BatchResult) -> Iterator[str]:
+    """CSV report of a batch, one row per trial, replayable from its seed.
+
+    Rendered in chunks straight from the batch arrays; the bytes are those
+    of ``reports.csv_text(RUN_CSV_FIELDS, rows)`` over one row per trial.
+    """
+    row = _template_row(params, x, y, batch)
+    return _stream_rows(reports.csv_text(RUN_CSV_FIELDS, [row, row]),
+                        reports.render_value, batch)
+
+
+def batch_report_json(params: ProtocolParams, x, y, batch: BatchResult,
+                      payload: dict) -> Iterator[str]:
+    """JSON report of a batch: ``payload`` with one row per trial, the
+    columns of :func:`batch_report_csv`, under "rows".
+
+    Rendered in chunks like :func:`batch_report_csv`; the bytes are those
+    of ``reports.json_text`` over the payload with its rows.
+    """
+    row = _template_row(params, x, y, batch)
+    return _stream_rows(reports.json_text({**payload, "rows": [row, row]}),
+                        json.dumps, batch)

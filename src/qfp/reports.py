@@ -3,7 +3,8 @@
 Same rows in, same bytes out: floats are rendered with ``repr`` (shortest
 round-trip form), key order is fixed by the caller, files carry no
 timestamps, and writes go through a temp file plus rename so a crashed run
-never leaves a half-written report.
+never leaves a half-written report.  A report may be written as a sequence
+of chunks, so a long one never has to sit in memory whole.
 """
 
 from __future__ import annotations
@@ -25,18 +26,20 @@ def render_value(value) -> str:
     return str(value)
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` through a private temp file and a rename.
+def atomic_write_text(path, text: str | Iterable[str]) -> None:
+    """Write ``text``, or its chunks in order, to ``path`` through a
+    private temp file and a rename.
 
     The temp file sits next to ``path`` under a random name, so concurrent
-    writers never share one, and is removed if the write or rename fails.
+    writers never share one, and is removed if the write or rename fails,
+    including when producing a chunk raises; ``path`` is then untouched.
     """
     path = os.fspath(path)
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
         with fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -53,14 +56,5 @@ def csv_text(fieldnames: Sequence[str],
     return buf.getvalue()
 
 
-def write_csv(path, fieldnames: Sequence[str],
-              rows: Iterable[Mapping[str, object]]) -> None:
-    atomic_write_text(path, csv_text(fieldnames, rows))
-
-
 def json_text(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
-
-
-def write_json(path, payload) -> None:
-    atomic_write_text(path, json_text(payload))

@@ -3,10 +3,65 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import qfp
+from qfp import protocol
 from qfp.cli import main, parse_length, parse_time
+
+# sha256 of the CSV and JSON reports of sampled runs, recorded before the
+# reports were streamed from the batch arrays; the last case renders its
+# rows in blocks of 8, so they cross block boundaries
+SAMPLED_GOLDENS = {
+    "one_trial": (
+        ["--code", "hadamard", "--n", "4", "--x", "0000", "--y", "0101",
+         "--k", "3", "--trials", "1", "--seed", "5"], None,
+        "7af8d78cd2458e555c8abd7c497e407baef2a81c8a1e62e2645a084ee67a61d2",
+        "b5ee740e039ab07a45076a7bde415df11be9c0abb6e3b6a80da1e452e7361dfb"),
+    "equal_inputs": (
+        ["--code", "hadamard", "--n", "3", "--x", "101", "--y", "101",
+         "--k", "4", "--trials", "50", "--seed", "3"], None,
+        "6122409f4784c65e0b68057a2fc82d6a77cd0a87aedba6c14d16bf5ed950ea43",
+        "f34a0b38ac078f3e5f156a20117d412eff08bdf740956964a557f7b09077e9f3"),
+    "epsilon_sets_k": (
+        ["--code", "hadamard", "--n", "3", "--x", "000", "--y", "001",
+         "--epsilon", "0.01", "--trials", "40", "--seed", "9"], None,
+        "e5d05ab71722994e64d688606d4299ab7cffcd119427fbbe7d34aee61cedcab4",
+        "f8e3664f9382231f672a18de129a25c8fa5c3f77e43cc79e044840529b6fc6ed"),
+    "random_code_hex": (
+        ["--code", "random", "--n", "12", "--m", "40", "--code-seed", "3",
+         "--x", "101100111010", "--y", "011011000101", "--k", "6",
+         "--trials", "60", "--seed", "11"], None,
+        "d709c1402e4b114a7d0b40eaa928f3068454f97876fc74f6386e5e618b95c6ff",
+        "b0a35d6f3dd3380f98c5dd0b734ff94d8d43fceac36efdad32dac25f97dd2dc9"),
+    "block_crossing": (
+        ["--code", "hadamard", "--n", "4", "--x", "0110", "--y", "0011",
+         "--k", "7", "--trials", "37", "--seed", "123"], 8,
+        "9f5479ce4f56d2f18ab21baa08c7d99d49c15b30de9aba8c94f62b8410553880",
+        "df78463d73383a86b579d752322ec25d62a4ffe736b06390aaa6cc9f5308c65e"),
+}
+
+
+def run_child(argv, cwd):
+    """Run ``qfp`` in a fresh interpreter; (exit code, seconds, peak MB).
+
+    The peak resident size comes from ``wait4`` on that one child.
+    """
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(qfp.__file__).resolve().parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "qfp.cli", *argv],
+                            cwd=cwd, env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return (proc.returncode, time.perf_counter() - start,
+            usage.ru_maxrss / 1024)  # ru_maxrss is in KiB on Linux
 
 
 def read_csv(path):
@@ -80,6 +135,37 @@ class TestRunCommand:
             "3995f0dfcb36d8d1375d762898b80e596285e1e7dc775ac6680aef85f606bb38")
         assert hashlib.sha256(jpath.read_bytes()).hexdigest() == (
             "9e01e253e8da3ebbd058db225a32d3e1bec73ff47762a7f04fd5273e849cea1e")
+
+    @pytest.mark.parametrize("name", sorted(SAMPLED_GOLDENS))
+    def test_sampled_report_goldens(self, tmp_path, monkeypatch, name):
+        argv, block, csv_sha, json_sha = SAMPLED_GOLDENS[name]
+        if block is not None:
+            monkeypatch.setattr(protocol, "_ROW_BLOCK", block)
+        out, jpath = tmp_path / "run.csv", tmp_path / "run.json"
+        assert main(["run", *argv, "--out", str(out),
+                     "--json", str(jpath)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+        assert hashlib.sha256(jpath.read_bytes()).hexdigest() == json_sha
+
+    def test_no_report_files_render_no_rows(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("rows rendered without an output file")
+
+        monkeypatch.setattr(protocol, "_stream_rows", refuse)
+        assert main(["run", "--code", "hadamard", "--n", "4", "--x", "0000",
+                     "--y", "0001", "--k", "3", "--trials", "100"]) == 0
+        assert "sampled 100 trials" in capsys.readouterr().out
+
+    def test_report_memory_stays_flat_in_trials(self, tmp_path):
+        # rows are rendered a block at a time, so peak memory is the two
+        # per-trial arrays plus one block of text, not one dict per trial
+        rc, _, peak_mb = run_child(
+            ["run", "--code", "hadamard", "--n", "4", "--x", "0000",
+             "--y", "0110", "--k", "10", "--trials", "300000", "--seed", "3",
+             "--out", "run.csv", "--json", "run.json"], tmp_path)
+        assert rc == 0
+        assert (tmp_path / "run.csv").read_bytes().count(b"\n") == 300_001
+        assert peak_mb < 150
 
     def test_json_mirror_field_names(self, tmp_path):
         out = tmp_path / "run.csv"
@@ -181,6 +267,14 @@ class TestFeasibilityCommand:
         row = read_csv(out)[0]
         assert row["parameter"] == "dark_count_prob"
         assert 0.0 <= float(row["false_equal_rate"]) <= 1.0
+
+    def test_long_link_dark_counts_bounded(self, tmp_path):
+        # 1000 km at 1 ps is ~4.9e9 dark-count slots per detector window
+        rc, seconds, peak_mb = run_child(
+            ["feasibility", "--noise", "--pn", "0.25", "--L", "1000km",
+             "--period", "1ps"], tmp_path)
+        assert rc == 0
+        assert seconds < 60 and peak_mb < 150
 
     def test_dark_sweep_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"

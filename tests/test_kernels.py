@@ -61,6 +61,26 @@ def _sha256(array):
     return hashlib.sha256(array.tobytes()).hexdigest()
 
 
+def _hadamard_port_probs(x, y):
+    from qfp import hadamard_code
+    from qfp.protocol import _port_distribution
+    return _port_distribution(hadamard_code(4), x, y)[0]
+
+
+def _reference_click_counts(probs, k, trials, master_seed):
+    """Bisect the cumulative table per draw, clamp, test the port."""
+    cum = np.cumsum(probs)
+    last_pos = int(np.flatnonzero(probs > 0.0)[-1])
+    m = probs.shape[0] // 2
+    counts = np.zeros(trials, dtype=np.int64)
+    for i, seed in enumerate(kernels.derive_stream_seeds(master_seed,
+                                                         trials)):
+        idx = np.searchsorted(cum, kernels.uniforms_from_seed(int(seed), k),
+                              side="right")
+        counts[i] = (np.where(idx >= cum.shape[0], last_pos, idx) >= m).sum()
+    return counts
+
+
 class TestClickCounts:
     def test_golden_bytes(self):
         counts = kernels.click_counts(np.array([0.1, 0.4, 0.3, 0.2]), 9,
@@ -89,6 +109,24 @@ class TestClickCounts:
         freq = counts.mean()
         sigma = math.sqrt(0.25 * 0.75 / 40_000)
         assert abs(freq - 0.25) < 5 * sigma
+
+    @pytest.mark.parametrize("probs", [
+        # port distributions of three input pairs
+        _hadamard_port_probs("0000", "0110"),
+        _hadamard_port_probs("0000", "1111"),
+        _hadamard_port_probs("0101", "0101"),
+        # N tail short of the top, zero, cut off at the last E mode, last only
+        [0.25, 0.25, 0.3, 0.1],
+        [0.5, 0.5, 0.0, 0.0],
+        [0.2, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1e-300],
+    ])
+    @pytest.mark.parametrize("seed", [0, 9, 2**64 - 1])
+    def test_matches_bisecting_reference(self, probs, seed):
+        probs = np.asarray(probs, dtype=np.float64)
+        got = kernels.click_counts(probs, 7, 3_000, seed)
+        assert np.array_equal(got, _reference_click_counts(probs, 7, 3_000,
+                                                           seed))
 
     def test_rejects_empty_or_massless(self):
         with pytest.raises(ValueError):
@@ -121,7 +159,60 @@ class TestBinomialCdf:
             kernels.binomial_cdf(5, 1.0)
 
 
+DARK_SLOTS = (0, 1, 2, 3, 1000, 48964)
+DARK_PROBS = (0.0, 1e-6, 1e-5, 1e-4, 0.3, 0.9)
+
+
+class TestDarkCountTable:
+    @pytest.mark.parametrize("slots", DARK_SLOTS)
+    @pytest.mark.parametrize("p", DARK_PROBS)
+    def test_first_entries_of_reference_table(self, slots, p):
+        got = kernels._dark_count_cdf(slots, p)
+        assert np.array_equal(got, kernels.binomial_cdf(slots, p)[:2])
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            kernels._dark_count_cdf(-1, 0.1)
+        with pytest.raises(ValueError):
+            kernels._dark_count_cdf(5, 1.0)
+
+
+def _reference_noise_verdicts(p_zero, p_one, p_survive, p_click_n,
+                              dark_prob, dark_slots, k, trials, seed):
+    """noise_verdicts drawing dark counts from the full binomial table."""
+    states = kernels.derive_stream_seeds(seed, trials)
+    cdf = kernels.binomial_cdf(dark_slots, dark_prob)
+    survived = np.zeros(trials, dtype=np.int64)
+    any_n = np.zeros(trials, dtype=bool)
+    for _ in range(k):
+        states, u_photon = kernels._advance_u01(states)
+        states, u_survive = kernels._advance_u01(states)
+        states, u_port = kernels._advance_u01(states)
+        states, u_dark_e = kernels._advance_u01(states)
+        states, u_dark_n = kernels._advance_u01(states)
+        multi = u_photon >= p_zero + p_one
+        n_e = np.minimum(np.searchsorted(cdf, u_dark_e, side="right"),
+                         dark_slots)
+        n_n = np.minimum(np.searchsorted(cdf, u_dark_n, side="right"),
+                         dark_slots)
+        signal = (u_photon >= p_zero) & (u_survive < p_survive) & ~multi
+        signal_n = signal & (u_port < p_click_n)
+        tot_e = n_e + (signal & ~signal_n)
+        tot_n = n_n + signal_n
+        valid = ~multi & (tot_e + tot_n == 1)
+        survived += valid
+        any_n |= valid & (tot_n == 1)
+    return np.where(survived == 0, 2, np.where(any_n, 1, 0)).astype(np.uint8)
+
+
 class TestNoiseVerdicts:
+    @pytest.mark.parametrize("slots", DARK_SLOTS)
+    @pytest.mark.parametrize("p", DARK_PROBS)
+    def test_matches_full_table_reference(self, slots, p):
+        args = (0.1, 0.8, 0.9, 0.25, p, slots, 3, 400, slots + 7)
+        assert np.array_equal(kernels.noise_verdicts(*args),
+                              _reference_noise_verdicts(*args))
+
     def test_golden_bytes(self):
         verdicts = kernels.noise_verdicts(0.2, 0.7, 0.9, 0.4, 1e-3, 200,
                                           6, 800, 2024)

@@ -1,6 +1,8 @@
 """Protocol engine: exact statistics, seeded sampling, repetition math,
 and the small-alphabet phase protocols."""
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -9,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfp import (DimensionError, DomainError, ProtocolParams, Verdict,
-                 amplified_error_bound, batch_report_rows, encode,
-                 exact_report_row, hadamard_code, hamming_distance,
-                 identity_code, phase_protocol_average_error,
+                 amplified_error_bound, batch_report_csv, batch_report_json,
+                 bits_to_hex, encode, exact_report_row, hadamard_code,
+                 hamming_distance, identity_code, phase_protocol_average_error,
                  phase_protocol_pn, phase_protocol_pn_closed_form,
                  random_linear_code, repetition_code, repetitions_needed,
                  run_batch, run_exact, run_sampled)
+from qfp import protocol, reports
 from qfp.protocol import RUN_CSV_FIELDS
 
 
@@ -301,10 +304,44 @@ class TestReportRows:
         code = hadamard_code(4)
         params = ProtocolParams(4, code, 4, 0.01)
         batch = run_batch(params, "0011", "0001", master_seed=21, trials=5)
-        rows = batch_report_rows(params, "0011", "0001", batch)
+        text = "".join(batch_report_csv(params, "0011", "0001", batch))
+        reader = csv.reader(io.StringIO(text))
+        header = next(reader)
+        rows = [dict(zip(header, cells)) for cells in reader]
         assert len(rows) == 5
         for row in rows:
             assert tuple(row) == RUN_CSV_FIELDS
-            replay = run_sampled(params, "0011", "0001", row["seed"])
-            assert replay.n_clicks_not_equal == row["n_clicks_N"]
+            replay = run_sampled(params, "0011", "0001", int(row["seed"]))
+            assert replay.n_clicks_not_equal == int(row["n_clicks_N"])
             assert replay.verdict.value == row["verdict"]
+
+
+def _dict_rows(params, x, y, batch):
+    """One report row per trial, built directly from the batch arrays."""
+    return [{
+        "n": params.code.n, "m": params.code.m, "t": params.code.t,
+        "k": params.k, "x_hex": bits_to_hex(x), "y_hex": bits_to_hex(y),
+        "pN_exact": batch.pn_exact,
+        "verdict": "NotEqual" if clicks else "Equal",
+        "n_clicks_N": int(clicks), "seed": int(seed),
+    } for clicks, seed in zip(batch.n_clicks, batch.trial_seeds)]
+
+
+class TestStreamedReports:
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 1 << 14])
+    @pytest.mark.parametrize("code, x, y, trials", [
+        (hadamard_code(4), "0000", "0110", 1),
+        (hadamard_code(4), "0110", "0110", 6),
+        (random_linear_code(10, 30, seed=4), "1011001110", "0110010101", 10),
+    ])
+    def test_bytes_equal_dict_row_rendering(self, monkeypatch, block, code,
+                                            x, y, trials):
+        monkeypatch.setattr(protocol, "_ROW_BLOCK", block)
+        params = ProtocolParams(code.n, code, 3, 0.01)
+        batch = run_batch(params, x, y, master_seed=trials, trials=trials)
+        rows = _dict_rows(params, x, y, batch)
+        payload = {"command": "run", "mode": "sampled", "trials": trials}
+        assert "".join(batch_report_csv(params, x, y, batch)) == (
+            reports.csv_text(RUN_CSV_FIELDS, rows))
+        assert "".join(batch_report_json(params, x, y, batch, payload)) == (
+            reports.json_text({**payload, "rows": rows}))

@@ -29,3 +29,24 @@ def test_failed_rename_removes_temp(tmp_path):
         atomic_write_text(target, "x")
     assert os.listdir(tmp_path) == ["taken"]
     assert os.listdir(target) == []
+
+
+def test_failed_chunk_leaves_target_untouched(tmp_path):
+    path = tmp_path / "report.csv"
+    path.write_text("old\n")
+
+    def chunks():
+        yield "a,b\n"
+        yield "1,2\n"
+        raise RuntimeError("renderer failed")
+
+    with pytest.raises(RuntimeError, match="renderer failed"):
+        atomic_write_text(path, chunks())
+    assert path.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["report.csv"]
+
+
+def test_chunks_written_in_order(tmp_path):
+    path = tmp_path / "report.csv"
+    atomic_write_text(path, iter(["a,b\n", "", "1,2\n"]))
+    assert path.read_bytes() == b"a,b\n1,2\n"
