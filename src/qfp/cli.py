@@ -74,38 +74,28 @@ def _parse_bool(text: str) -> bool:
 
 
 def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+    values = [float(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise ValueError(f"no numbers in {text!r}")
+    return values
 
 
-# --- config-file keys per subcommand (types drive conversion) ---------------
+# --- config-file keys: each subcommand's option dests ----------------------
 
-_CONFIG_TYPES = {
-    "run": {
-        "code": str, "n": int, "r": int, "m": int, "code_seed": int,
-        "code_file": str, "x": str, "y": str, "exact": _parse_bool,
-        "k": int, "epsilon": float, "trials": int, "seed": int,
-        "phase_protocol": _parse_bool, "q": int, "phase_x": int,
-        "phase_y": int, "all_pairs": _parse_bool, "out": str, "json": str,
-    },
-    "classical": {
-        "q": int, "alice": int, "bob": int, "bounds": _parse_bool,
-        "breakeven": _parse_bool, "n": int, "epsilon": float, "mu": float,
-        "out": str, "json": str,
-    },
-    "feasibility": {
-        "separation": parse_length, "period": parse_time, "index": float,
-        "window_factor": float, "mu_photon": float, "noise": _parse_bool,
-        "pn": float, "k": int, "trials": int, "seed": int,
-        "dark": float, "transmission": float, "efficiency": float,
-        "slots": int, "deterministic_source": _parse_bool,
-        "sweep_dark": _float_list, "out": str, "json": str,
-    },
-    "codes": {},
-}
+def _config_types(parser: argparse.ArgumentParser, command: str) -> dict:
+    """Config key -> converter for one subcommand, read off its options.
+
+    A key is an option's dest and converts as the option's value does; a
+    flag converts with ``_parse_bool``.
+    """
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    return {a.dest: (_parse_bool if isinstance(a, argparse._StoreTrueAction)
+                     else a.type or str)
+            for a in sub._actions if a.dest not in ("help", "config")}
 
 
-def _load_config_section(path: str, section: str) -> dict:
-    types = _CONFIG_TYPES[section]
+def _load_config_section(path: str, section: str, types: dict) -> dict:
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -132,10 +122,10 @@ def _load_config_section(path: str, section: str) -> dict:
     return merged
 
 
-def _apply_config(args: argparse.Namespace) -> None:
+def _apply_config(args: argparse.Namespace, types: dict) -> None:
     if getattr(args, "config", None):
-        for name, value in _load_config_section(args.config,
-                                                args.command).items():
+        for name, value in _load_config_section(args.config, args.command,
+                                                types).items():
             if getattr(args, name, None) is None:
                 setattr(args, name, value)
 
@@ -594,7 +584,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 1
         if args.command != "codes":
-            _apply_config(args)
+            _apply_config(args, _config_types(parser, args.command))
         return args.handler(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)

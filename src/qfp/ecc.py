@@ -143,9 +143,10 @@ def hadamard_code(n: int) -> Code:
             f"(n <= {ORACLE_MAX_N})"
         )
     z = np.arange(1 << n, dtype=np.uint32)
-    gen = ((z[None, :] >> np.arange(n, dtype=np.uint32)[:, None]) & 1)
-    return Code(n, 1 << n, 1 << (n - 1), CodeKind.HADAMARD,
-                gen.astype(np.uint8))
+    gen = np.empty((n, 1 << n), dtype=np.uint8)
+    for j in range(n):  # row by row: no (n, 2^n) uint32 temporaries
+        gen[j] = (z >> j) & 1
+    return Code(n, 1 << n, 1 << (n - 1), CodeKind.HADAMARD, gen)
 
 
 def random_linear_code(n: int, m: int, seed: int) -> Code:
@@ -232,12 +233,37 @@ def load_code(src) -> Code:
         kind = CodeKind(parts[3])
     except ValueError as exc:
         raise CodeFormatError(f"bad header {lines[0]!r}: {exc}") from exc
+    if n < 1 or m < 1:
+        raise CodeFormatError(f"bad header {lines[0]!r}: n and m must be >= 1")
     rows = lines[1:]
     if len(rows) != n:
         raise CodeFormatError(f"expected {n} generator rows, got {len(rows)}")
-    gen = np.empty((n, m), dtype=np.uint8)
+    # every row is checked before any allocation, so the generator is no
+    # larger than the file whatever the header declares
     for i, row in enumerate(rows):
         if len(row) != m or any(c not in "01" for c in row):
             raise CodeFormatError(f"generator row {i + 1} is not {m} bits")
+    gen = np.empty((n, m), dtype=np.uint8)
+    for i, row in enumerate(rows):
         gen[i] = as_bits(row)
+    del lines, rows  # the text is as large as the generator
+    if kind is not CodeKind.RANDOM_LINEAR:
+        canonical = _canonical_code(kind, n, m)
+        if (canonical is None or canonical.t != t
+                or not np.array_equal(canonical.generator, gen)):
+            raise CodeFormatError(
+                f"not the {kind.value} code with n={n}, m={m}: the generator "
+                f"or the distance t={t} differs from the construction"
+            )
     return Code(n, m, t, kind, gen)
+
+
+def _canonical_code(kind: CodeKind, n: int, m: int) -> Code | None:
+    """The constructed code of an analytic kind with shape (n, m), if any."""
+    if kind is CodeKind.IDENTITY and m == n:
+        return identity_code(n)
+    if kind is CodeKind.REPETITION and m % n == 0:
+        return repetition_code(n, m // n)
+    if kind is CodeKind.HADAMARD and m == 1 << n:
+        return hadamard_code(n)
+    return None

@@ -47,11 +47,17 @@ class ModeLabel(NamedTuple):
 
 
 class PortProbabilities(NamedTuple):
-    """Measurement statistics in the port basis."""
+    """Measurement statistics in the port basis.
+
+    ``per_mode`` is a read-only ``(2, m)`` float64 array laid out like
+    ``ModeState.amps``: row 0 is the E port, row 1 the N port, and column
+    ``i`` is mode index ``i + 1``.  ``p_equal`` and ``p_not_equal`` are its
+    row sums.
+    """
 
     p_equal: float
     p_not_equal: float
-    per_mode: tuple[tuple[ModeLabel, float], ...]
+    per_mode: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,13 +198,13 @@ def port_probabilities(state: ModeState) -> PortProbabilities:
     """Detection statistics in the port basis.
 
     Returns total probabilities for the E and N ports plus the per-mode
-    breakdown in storage order (E1..Em, N1..Nm).
+    breakdown as a ``(2, m)`` array in storage order.
     """
     _require_stage(state, Stage.PORT, "port_probabilities")
     probs = np.abs(state.amps) ** 2
-    per_mode = tuple(zip(state.labels(), (float(p) for p in probs.ravel())))
+    probs.setflags(write=False)
     return PortProbabilities(float(probs[0].sum()), float(probs[1].sum()),
-                             per_mode)
+                             probs)
 
 
 def dump_amplitudes_csv(state: ModeState, dest) -> None:

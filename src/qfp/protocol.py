@@ -121,11 +121,8 @@ def run_exact(code: Code, x, y) -> float:
 
 
 def _port_distribution(code: Code, x, y) -> tuple[np.ndarray, float]:
-    final = recombine(build_branch_state(code, x, y))
-    stats = port_probabilities(final)
-    probs = np.fromiter((p for _, p in stats.per_mode), dtype=np.float64,
-                        count=2 * code.m)
-    return probs, stats.p_not_equal
+    stats = port_probabilities(recombine(build_branch_state(code, x, y)))
+    return stats.per_mode.ravel(), stats.p_not_equal
 
 
 def _label_for_index(m: int, idx: int) -> ModeLabel:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import qfp
-from qfp import protocol
+from qfp import cli, protocol
 from qfp.cli import main, parse_length, parse_time
 
 # sha256 of the CSV and JSON reports of sampled runs, recorded before the
@@ -45,6 +45,39 @@ SAMPLED_GOLDENS = {
          "--k", "7", "--trials", "37", "--seed", "123"], 8,
         "9f5479ce4f56d2f18ab21baa08c7d99d49c15b30de9aba8c94f62b8410553880",
         "df78463d73383a86b579d752322ec25d62a4ffe736b06390aaa6cc9f5308c65e"),
+}
+
+
+# every config key of each subcommand: (raw value, converted value); the
+# keys are the subcommand's option dests, nothing more
+CONFIG_SAMPLES = {
+    "run": {
+        "code": ("hadamard", "hadamard"), "n": ("4", 4), "r": ("3", 3),
+        "m": ("10", 10), "code_seed": ("7", 7),
+        "code_file": ("a.code", "a.code"), "x": ("0101", "0101"),
+        "y": ("1111", "1111"), "exact": ("false", False), "k": ("5", 5),
+        "epsilon": ("0.01", 0.01), "trials": ("20", 20), "seed": ("9", 9),
+        "phase_protocol": ("yes", True), "q": ("3", 3),
+        "phase_x": ("1", 1), "phase_y": ("2", 2), "all_pairs": ("on", True),
+        "out": ("r.csv", "r.csv"), "json": ("r.json", "r.json"),
+    },
+    "classical": {
+        "q": ("3", 3), "alice": ("2", 2), "bob": ("2", 2),
+        "bounds": ("1", True), "breakeven": ("no", False), "n": ("64", 64),
+        "epsilon": ("0.05", 0.05), "mu": ("2.5", 2.5),
+        "out": ("c.csv", "c.csv"), "json": ("c.json", "c.json"),
+    },
+    "feasibility": {
+        "separation": ("2km", 2000.0), "period": ("1ns", 1e-9),
+        "index": ("1.5", 1.5), "window_factor": ("2", 2.0),
+        "mu_photon": ("0.1", 0.1), "noise": ("true", True),
+        "pn": ("0.25", 0.25), "k": ("3", 3), "trials": ("100", 100),
+        "seed": ("4", 4), "dark": ("1e-5", 1e-5),
+        "transmission": ("0.9", 0.9), "efficiency": ("0.8", 0.8),
+        "slots": ("50", 50), "deterministic_source": ("off", False),
+        "sweep_dark": ("0,1e-5", [0.0, 1e-5]),
+        "out": ("f.csv", "f.csv"), "json": ("f.json", "f.json"),
+    },
 }
 
 
@@ -167,6 +200,15 @@ class TestRunCommand:
         assert (tmp_path / "run.csv").read_bytes().count(b"\n") == 300_001
         assert peak_mb < 150
 
+    def test_exact_hadamard_18_memory(self, tmp_path):
+        # port statistics stay two float arrays; no label per mode
+        rc, _, peak_mb = run_child(
+            ["run", "--exact", "--code", "hadamard", "--n", "18",
+             "--x", "101100111000101101", "--y", "011011000111010010"],
+            tmp_path)
+        assert rc == 0
+        assert peak_mb < 120
+
     def test_json_mirror_field_names(self, tmp_path):
         out = tmp_path / "run.csv"
         jpath = tmp_path / "run.json"
@@ -286,6 +328,17 @@ class TestFeasibilityCommand:
         assert [float(r["value"]) for r in rows] == [0.0, 1e-4, 1e-3]
         assert float(rows[0]["false_notequal_rate"]) == 0.0
 
+    def test_empty_dark_sweep_rejected(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        args = ["--pn", "0", "--trials", "10", "--out", str(out)]
+        assert main(["feasibility", "--sweep-dark", ",", *args]) == 1
+        assert "sweep-dark" in capsys.readouterr().err
+        conf = tmp_path / "sweep.cfg"
+        conf.write_text("[feasibility]\nsweep_dark =\n")
+        assert main(["feasibility", "--config", str(conf), *args]) == 1
+        assert "sweep_dark" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCodesCommand:
     def test_export_show_verify_cycle(self, tmp_path, capsys):
@@ -298,10 +351,12 @@ class TestCodesCommand:
         assert "distance verified" in capsys.readouterr().out
 
     def test_verify_catches_tampered_distance(self, tmp_path, capsys):
+        # only a random code's declared distance is left to the oracle;
+        # loading rejects a wrong t on the analytic kinds
         path = tmp_path / "bad.code"
-        assert main(["codes", "export", "--kind", "identity", "--n", "3",
-                     "--out", str(path)]) == 0
-        path.write_text(path.read_text().replace("3 3 1", "3 3 2"))
+        assert main(["codes", "export", "--kind", "random", "--n", "4",
+                     "--m", "10", "--seed", "9", "--out", str(path)]) == 0
+        path.write_text(path.read_text().replace("4 10 1", "4 10 2"))
         assert main(["codes", "verify", "--in", str(path)]) == 1
         assert "MISMATCH" in capsys.readouterr().err
 
@@ -374,6 +429,34 @@ class TestConfigFiles:
         assert main(["feasibility", "--config", str(conf), "--json",
                      str(jpath)]) == 0
         assert json.loads(jpath.read_text())["d_vacuum"] == 33356
+
+    @pytest.mark.parametrize("command", sorted(CONFIG_SAMPLES))
+    def test_every_option_is_a_config_key(self, command, tmp_path):
+        parser = cli.build_parser()
+        types = cli._config_types(parser, command)
+        samples = CONFIG_SAMPLES[command]
+        assert set(types) == set(samples)
+        for key, (raw, value) in samples.items():
+            for spelling in (key, key.replace("_", "-")):
+                conf = tmp_path / "c.cfg"
+                conf.write_text(f"[{command}]\n{spelling} = {raw}\n")
+                loaded = cli._load_config_section(str(conf), command, types)
+                assert loaded == {key: value}
+            # the flag converts the same text to the same value
+            flag = "--" + key.replace("_", "-")
+            if isinstance(value, bool):
+                parsed = parser.parse_args([command, flag])
+                assert getattr(parsed, key) is True
+            else:
+                parsed = parser.parse_args([command, flag, raw])
+                assert getattr(parsed, key) == value
+
+    @pytest.mark.parametrize("key", ["config", "help", "L"])
+    def test_non_option_keys_rejected(self, key, tmp_path, capsys):
+        conf = tmp_path / "c.cfg"
+        conf.write_text(f"[feasibility]\n{key} = x\n")
+        assert main(["feasibility", "--config", str(conf)]) == 1
+        assert "unknown key" in capsys.readouterr().err
 
 
 class TestTopLevel:

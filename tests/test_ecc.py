@@ -207,11 +207,54 @@ class TestCodeFiles:
             with pytest.raises(CodeFormatError):
                 load_code(io.StringIO(text))
 
-    def test_declared_distance_mismatch_detectable(self):
-        # load trusts the header; the oracle exposes a tampered t
+    @pytest.mark.parametrize("text, message", [
+        ("-1 4 2 Identity\n", "must be >= 1"),
+        ("0 4 2 Identity\n", "must be >= 1"),
+        ("1 0 0 Identity\n1\n", "must be >= 1"),
+        ("1 -3 1 Identity\n1\n", "must be >= 1"),
+        ("1 1000000000000 1 Identity\n1\n", "row 1 is not"),
+        ("2 1000000000000 1 Identity\n10\n01\n", "row 1 is not"),
+    ], ids=["n_negative", "n_zero", "m_zero", "m_negative", "m_huge",
+            "m_huge_two_rows"])
+    def test_header_bounds_rejected(self, text, message):
+        # a header m beyond the file fails on the rows, before allocating
+        with pytest.raises(CodeFormatError, match=message):
+            load_code(io.StringIO(text))
+
+    @pytest.mark.parametrize("text", [
+        "2 4 2 Hadamard\n1111\n0000\n",
+        "2 4 1 Hadamard\n0101\n0011\n",
+        "2 3 1 Hadamard\n010\n001\n",
+        "3 3 2 Identity\n100\n010\n001\n",
+        "2 2 1 Identity\n01\n10\n",
+        "2 3 1 Identity\n100\n010\n",
+        "2 4 2 Repetition\n1010\n0101\n",
+        "2 5 2 Repetition\n11000\n00111\n",
+    ], ids=["hadamard_generator", "hadamard_t", "hadamard_m",
+            "identity_t", "identity_generator", "identity_m",
+            "repetition_generator", "repetition_m"])
+    def test_header_kind_checked(self, text):
+        with pytest.raises(CodeFormatError):
+            load_code(io.StringIO(text))
+
+    @pytest.mark.parametrize("code", [
+        identity_code(1), identity_code(6),
+        repetition_code(1, 1), repetition_code(3, 1), repetition_code(4, 3),
+        hadamard_code(1), hadamard_code(5),
+    ], ids=lambda c: f"{c.kind.value}-{c.n}x{c.m}")
+    def test_canonical_exports_load(self, code):
         buf = io.StringIO()
-        save_code(identity_code(3), buf)
-        tampered = buf.getvalue().replace("3 3 1", "3 3 2")
+        save_code(code, buf)
+        back = load_code(io.StringIO(buf.getvalue()))
+        assert (back.n, back.m, back.t, back.kind) == (code.n, code.m,
+                                                       code.t, code.kind)
+        assert np.array_equal(back.generator, code.generator)
+
+    def test_declared_distance_mismatch_detectable(self):
+        # load trusts a random code's header; the oracle exposes a tampered t
+        buf = io.StringIO()
+        save_code(random_linear_code(4, 10, seed=5), buf)
+        tampered = buf.getvalue().replace("4 10 1", "4 10 2")
         code = load_code(io.StringIO(tampered))
         assert code.t == 2
         assert min_distance_bruteforce(code) == 1

@@ -154,7 +154,21 @@ class TestPortProbabilities:
         stats = port_probabilities(state)
         assert stats.p_equal + stats.p_not_equal == pytest.approx(1.0,
                                                                   abs=1e-12)
-        assert len(stats.per_mode) == 10
+        assert stats.per_mode.shape == (2, 5)
+
+    def test_per_mode_is_read_only_amps_layout(self):
+        rng = np.random.default_rng(11)
+        for m in (1, 2, 7):
+            state = recombine(random_branch_state(rng, m))
+            stats = port_probabilities(state)
+            assert stats.per_mode.shape == (2, m)
+            assert stats.per_mode.dtype == np.float64
+            assert np.array_equal(stats.per_mode, np.abs(state.amps) ** 2)
+            # the totals are the row sums, bit for bit
+            assert stats.p_equal == float(stats.per_mode[0].sum())
+            assert stats.p_not_equal == float(stats.per_mode[1].sum())
+            with pytest.raises(ValueError):
+                stats.per_mode[0, 0] = 0.0
 
     def test_quarter_sum_identity(self):
         # pN = (1/4) sum |a_i - b_i|^2 for branch-normalized a, b
