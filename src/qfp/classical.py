@@ -14,7 +14,7 @@ input length where the quantum protocol undercuts the classical bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import kernels
@@ -188,9 +188,16 @@ def holevo_classical_cap(m: int) -> float:
     return 1.0 + math.log2(m)
 
 
+def breakeven_sides(n: int, k: int) -> tuple[float, float]:
+    """Both sides of the break-even test at input length n: the quantum
+    protocol's total qubits per party, k (1 + log2 n), and the classical
+    shared-bit floor sqrt(n)/40."""
+    return k * (1.0 + math.log2(n)), math.sqrt(n) / 40.0
+
+
 def _quantum_beats_classical(n: int, k: int) -> bool:
-    # total quantum qubits per party vs the shared-bit classical floor
-    return k * (1.0 + math.log2(n)) <= math.sqrt(n) / 40.0
+    quantum, floor = breakeven_sides(n, k)
+    return quantum <= floor
 
 
 def breakeven_n(epsilon: float, mu: float = 2.0) -> int:
@@ -228,10 +235,6 @@ def breakeven_n(epsilon: float, mu: float = 2.0) -> int:
 def full_bound_report(n: int, epsilon: float, mu: float = 2.0) -> BoundReport:
     """Lower bounds plus the quantum side's total cost and break-even flag."""
     base = smp_equality_lower_bounds(n)
-    nu = justesen_nu(mu)
-    k = repetitions_needed(nu, epsilon)
-    cost = k * (1.0 + math.log2(n))
-    return BoundReport(n=n, ab_lower=base.ab_lower, max_lower=base.max_lower,
-                       shared_bit_lower=base.shared_bit_lower,
-                       quantum_cost_per_party=cost,
-                       breakeven=cost <= base.shared_bit_lower)
+    k = repetitions_needed(justesen_nu(mu), epsilon)
+    cost, floor = breakeven_sides(n, k)
+    return replace(base, quantum_cost_per_party=cost, breakeven=cost <= floor)

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import re
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 from . import classical, ecc, physical, protocol, reports
 from .errors import ConfigError, DomainError, QfpError, ResourceLimitError
@@ -175,7 +174,12 @@ def _write(path, text) -> None:
     print(f"wrote {path}")
 
 
-def _emit(args, fieldnames, rows, payload) -> None:
+def _emit(args, payload, fieldnames=None, rows=()) -> None:
+    """Write the mode's table to --out and ``payload`` to --json; --out
+    is a usage error for a mode without a table."""
+    if args.out and fieldnames is None:
+        raise _UsageError(f"qfp {args.command}: --out needs a mode with a "
+                          f"table; this mode writes only --json")
     if args.out:
         _write(args.out, reports.csv_text(fieldnames, rows))
     if args.json:
@@ -203,7 +207,7 @@ def cmd_run(args) -> int:
         payload = {"command": "run", "mode": "phase_protocol", "q": q,
                    "avg_error": avg, "rows": rows}
         print(f"phase protocol q={q}: average referee error = {avg!r}")
-        _emit(args, PHASE_CSV_FIELDS, rows, payload)
+        _emit(args, payload, PHASE_CSV_FIELDS, rows)
         return 0
 
     code = _build_code(args)
@@ -211,8 +215,8 @@ def cmd_run(args) -> int:
     if args.exact:
         row = protocol.exact_report_row(code, args.x, args.y)
         print(f"exact: pN = {row['pN_exact']!r} verdict = {row['verdict']}")
-        _emit(args, protocol.RUN_CSV_FIELDS, [row],
-              {"command": "run", "mode": "exact", "rows": [row]})
+        _emit(args, {"command": "run", "mode": "exact", "rows": [row]},
+              protocol.RUN_CSV_FIELDS, [row])
         return 0
 
     _default(args, "epsilon", 0.01)
@@ -243,8 +247,7 @@ def cmd_run(args) -> int:
 
 # --- classical ---------------------------------------------------------------
 
-BOUNDS_CSV_FIELDS = ("n", "ab_lower", "max_lower", "shared_bit_lower",
-                     "quantum_cost_per_party", "breakeven")
+BOUNDS_CSV_FIELDS = tuple(f.name for f in fields(classical.BoundReport))
 SMP_CSV_FIELDS = ("q", "alice_msgs", "bob_msgs", "min_avg_error",
                   "misclassified_pairs", "worst_case_error",
                   "strategies_searched")
@@ -260,13 +263,7 @@ def cmd_classical(args) -> int:
                                                  args.mu)
         else:
             report = classical.smp_equality_lower_bounds(args.n)
-        row = {
-            "n": report.n, "ab_lower": report.ab_lower,
-            "max_lower": report.max_lower,
-            "shared_bit_lower": report.shared_bit_lower,
-            "quantum_cost_per_party": report.quantum_cost_per_party,
-            "breakeven": report.breakeven,
-        }
+        row = asdict(report)
         print(f"n = {report.n}: ab_lower = {report.ab_lower!r}, "
               f"max_lower = {report.max_lower!r}, "
               f"shared_bit_lower = {report.shared_bit_lower!r}")
@@ -274,8 +271,8 @@ def cmd_classical(args) -> int:
             print(f"quantum cost per party = "
                   f"{report.quantum_cost_per_party!r}, "
                   f"breakeven = {report.breakeven}")
-        _emit(args, BOUNDS_CSV_FIELDS, [row],
-              {"command": "classical", "mode": "bounds", "rows": [row]})
+        _emit(args, {"command": "classical", "mode": "bounds", "rows": [row]},
+              BOUNDS_CSV_FIELDS, [row])
         return 0
 
     if args.breakeven:
@@ -284,12 +281,8 @@ def cmd_classical(args) -> int:
         n_star = classical.breakeven_n(args.epsilon, args.mu)
         nu = ecc.justesen_nu(args.mu)
         k = protocol.repetitions_needed(nu, args.epsilon)
-
-        def sides(n):
-            return k * (1.0 + math.log2(n)), math.sqrt(n) / 40.0
-
-        lhs, rhs = sides(n_star)
-        lhs_h, rhs_h = sides(max(1, n_star // 2))
+        lhs, rhs = classical.breakeven_sides(n_star, k)
+        lhs_h, rhs_h = classical.breakeven_sides(max(1, n_star // 2), k)
         print(f"break-even n* = {n_star} (epsilon = {args.epsilon}, "
               f"mu = {args.mu}, nu = {nu!r}, k = {k})")
         print(f"at n*:   quantum k(1+log2 n) = {lhs!r} <= sqrt(n)/40 = "
@@ -301,8 +294,7 @@ def cmd_classical(args) -> int:
                    "n_star": n_star, "quantum_at_n_star": lhs,
                    "classical_at_n_star": rhs,
                    "quantum_at_half": lhs_h, "classical_at_half": rhs_h}
-        if args.json:
-            _write(args.json, reports.json_text(payload))
+        _emit(args, payload)
         return 0
 
     _require(args, ["q", "alice", "bob"])
@@ -315,22 +307,20 @@ def cmd_classical(args) -> int:
         "worst_case_error": result.worst_case_error,
         "strategies_searched": result.strategies_searched,
     }
-    witness = result.witness
+    witness = {"alice_map": list(result.witness.alice_map),
+               "bob_map": list(result.witness.bob_map),
+               "referee": [[v.value for v in r]
+                           for r in result.witness.referee]}
     print(f"searched {result.strategies_searched} strategies: "
           f"min average error = {result.average_error} "
           f"({result.misclassified_pairs} of {result.q**2} pairs)")
-    print(f"alice map:   {list(witness.alice_map)}")
-    print(f"bob map:     {list(witness.bob_map)}")
+    print(f"alice map:   {witness['alice_map']}")
+    print(f"bob map:     {witness['bob_map']}")
     print("referee table (rows = alice message, cols = bob message):")
-    for i, table_row in enumerate(witness.referee):
-        print(f"  msg {i}: " + "  ".join(v.value for v in table_row))
-    payload = {"command": "classical", "mode": "brute_force", "rows": [row],
-               "witness": {
-                   "alice_map": list(witness.alice_map),
-                   "bob_map": list(witness.bob_map),
-                   "referee": [[v.value for v in r]
-                               for r in witness.referee]}}
-    _emit(args, SMP_CSV_FIELDS, [row], payload)
+    for i, cells in enumerate(witness["referee"]):
+        print(f"  msg {i}: " + "  ".join(cells))
+    _emit(args, {"command": "classical", "mode": "brute_force",
+                 "rows": [row], "witness": witness}, SMP_CSV_FIELDS, [row])
     return 0
 
 
@@ -341,40 +331,27 @@ NOISE_CSV_FIELDS = ("parameter", "value", "false_equal_rate",
                     "false_notequal_stderr", "abort_rate", "abort_stderr")
 
 
+# option dest -> ImperfectionModel field; an option left unset keeps the
+# model's default
+_MODEL_FIELDS = {"mu_photon": "mean_photon_number",
+                 "transmission": "transmission",
+                 "efficiency": "detector_efficiency",
+                 "dark": "dark_count_prob", "period": "pulse_period",
+                 "separation": "separation", "index": "refractive_index",
+                 "deterministic_source": "deterministic_source",
+                 "window_factor": "window_factor"}
+
+
 def _build_model(args) -> physical.ImperfectionModel:
-    kwargs = {}
-    if args.mu_photon is not None:
-        kwargs["mean_photon_number"] = args.mu_photon
-    if args.transmission is not None:
-        kwargs["transmission"] = args.transmission
-    if args.efficiency is not None:
-        kwargs["detector_efficiency"] = args.efficiency
-    if args.dark is not None:
-        kwargs["dark_count_prob"] = args.dark
-    if args.period is not None:
-        kwargs["pulse_period"] = args.period
-    if args.separation is not None:
-        kwargs["separation"] = args.separation
-    if args.index is not None:
-        kwargs["refractive_index"] = args.index
-    if args.deterministic_source is not None:
-        kwargs["deterministic_source"] = args.deterministic_source
-    if args.window_factor is not None:
-        kwargs["window_factor"] = args.window_factor
-    return physical.ImperfectionModel(**kwargs)
+    return physical.ImperfectionModel(**{
+        field: getattr(args, dest) for dest, field in _MODEL_FIELDS.items()
+        if getattr(args, dest) is not None})
 
 
 def _rates_row(parameter: str, value: float,
                rates: physical.NoiseRates) -> dict:
-    return {
-        "parameter": parameter, "value": value,
-        "false_equal_rate": rates.false_equal_rate,
-        "false_equal_stderr": rates.false_equal_stderr,
-        "false_notequal_rate": rates.false_notequal_rate,
-        "false_notequal_stderr": rates.false_notequal_stderr,
-        "abort_rate": rates.abort_rate,
-        "abort_stderr": rates.abort_stderr,
-    }
+    return {"parameter": parameter, "value": value,
+            **{name: getattr(rates, name) for name in NOISE_CSV_FIELDS[2:]}}
 
 
 def cmd_feasibility(args) -> int:
@@ -411,7 +388,7 @@ def cmd_feasibility(args) -> int:
         payload = {"command": "feasibility", "mode": "noise",
                    "master_seed": args.seed, "k": args.k,
                    "trials": args.trials, "pn": args.pn, "rows": rows}
-        _emit(args, NOISE_CSV_FIELDS, rows, payload)
+        _emit(args, payload, NOISE_CSV_FIELDS, rows)
         return 0
 
     slots = physical.feasible_d(model)
@@ -421,24 +398,18 @@ def cmd_feasibility(args) -> int:
         "pulse_period_s": model.pulse_period,
         "refractive_index": model.refractive_index,
         "window_factor": model.window_factor,
-        "d_vacuum": slots.d_vacuum,
-        "d_fiber": slots.d_fiber,
-        "d_nominal_3us": slots.d_nominal_3us,
+        **slots._asdict(),
     }
     if args.mu_photon is not None:
         dist = physical.photon_number_distribution(args.mu_photon)
-        payload["photon_statistics"] = {
-            "mean_photon_number": args.mu_photon,
-            "p_zero": dist.p_zero, "p_one": dist.p_one,
-            "p_multi": dist.p_multi,
-        }
+        payload["photon_statistics"] = {"mean_photon_number": args.mu_photon,
+                                        **dist._asdict()}
         print(f"photon statistics (mean {args.mu_photon!r}): "
               f"p0 = {dist.p_zero!r}, p1 = {dist.p_one!r}, "
               f"p_multi = {dist.p_multi!r}")
     print(f"d_vacuum = {slots.d_vacuum}, d_fiber = {slots.d_fiber}, "
           f"d_nominal_3us = {slots.d_nominal_3us}")
-    if args.json:
-        _write(args.json, reports.json_text(payload))
+    _emit(args, payload)
     return 0
 
 

@@ -70,7 +70,7 @@ class Code:
 def as_bits(bits) -> np.ndarray:
     """Coerce a bit string ("0101"), list or array to a uint8 bit vector."""
     if isinstance(bits, str):
-        if not bits or any(c not in "01" for c in bits):
+        if not bits or bits.strip("01"):
             raise DomainError(f"not a bit string: {bits!r}")
         return np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
     arr = np.asarray(bits, dtype=np.uint8)
@@ -168,10 +168,9 @@ def random_linear_code(n: int, m: int, seed: int) -> Code:
     words = kernels.splitmix64_stream(seed, n * words_per_row)
     raw = np.unpackbits(words.astype("<u8").view(np.uint8),
                         bitorder="little")
-    gen = raw.reshape(n, words_per_row * 64)[:, :m].copy()
-    code = Code(n, m, 0, CodeKind.RANDOM_LINEAR, gen)
-    t = min_distance_bruteforce(code)
-    return Code(n, m, t, CodeKind.RANDOM_LINEAR, gen)
+    gen = raw.reshape(n, words_per_row * 64)[:, :m]
+    return Code(n, m, kernels.min_nonzero_weight(gen),
+                CodeKind.RANDOM_LINEAR, gen)
 
 
 def min_distance_bruteforce(code: Code) -> int:
@@ -241,12 +240,11 @@ def load_code(src) -> Code:
     # every row is checked before any allocation, so the generator is no
     # larger than the file whatever the header declares
     for i, row in enumerate(rows):
-        if len(row) != m or any(c not in "01" for c in row):
+        if len(row) != m or row.strip("01"):
             raise CodeFormatError(f"generator row {i + 1} is not {m} bits")
-    gen = np.empty((n, m), dtype=np.uint8)
-    for i, row in enumerate(rows):
-        gen[i] = as_bits(row)
+    gen = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
     del lines, rows  # the text is as large as the generator
+    gen = (gen - ord("0")).reshape(n, m)
     if kind is not CodeKind.RANDOM_LINEAR:
         canonical = _canonical_code(kind, n, m)
         if (canonical is None or canonical.t != t

@@ -246,16 +246,18 @@ RUN_CSV_FIELDS = ("n", "m", "t", "k", "x_hex", "y_hex", "pN_exact",
                   "verdict", "n_clicks_N", "seed")
 
 
+def _run_row(code: Code, k, x, y, pn, verdict, n_clicks, seed) -> dict:
+    return dict(zip(RUN_CSV_FIELDS,
+                    (code.n, code.m, code.t, k, bits_to_hex(x),
+                     bits_to_hex(y), pn, verdict, n_clicks, seed),
+                    strict=True))
+
+
 def exact_report_row(code: Code, x, y) -> dict:
     """Single CSV/JSON row for an exact (non-sampled) evaluation."""
     pn = run_exact(code, x, y)
     verdict = Verdict.EQUAL if pn == 0.0 else Verdict.NOT_EQUAL
-    return {
-        "n": code.n, "m": code.m, "t": code.t, "k": None,
-        "x_hex": bits_to_hex(x), "y_hex": bits_to_hex(y),
-        "pN_exact": pn, "verdict": verdict.value,
-        "n_clicks_N": None, "seed": None,
-    }
+    return _run_row(code, None, x, y, pn, verdict.value, None, None)
 
 
 _ROW_BLOCK = 1 << 14  # trials rendered per report chunk
@@ -263,12 +265,8 @@ _SLOT = "<slot>"  # stands for a per-trial value in a rendered template row
 
 
 def _template_row(params: ProtocolParams, x, y, batch: BatchResult) -> dict:
-    return {
-        "n": params.code.n, "m": params.code.m, "t": params.code.t,
-        "k": params.k, "x_hex": bits_to_hex(x), "y_hex": bits_to_hex(y),
-        "pN_exact": batch.pn_exact,
-        "verdict": _SLOT, "n_clicks_N": _SLOT, "seed": _SLOT,
-    }
+    return _run_row(params.code, params.k, x, y, batch.pn_exact,
+                    _SLOT, _SLOT, _SLOT)
 
 
 def _stream_rows(text: str, encode, batch: BatchResult) -> Iterator[str]:

@@ -52,7 +52,7 @@ def csv_text(fieldnames: Sequence[str],
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fieldnames)
     for row in rows:
-        writer.writerow([render_value(row.get(name)) for name in fieldnames])
+        writer.writerow([render_value(row[name]) for name in fieldnames])
     return buf.getvalue()
 
 

@@ -459,6 +459,29 @@ class TestConfigFiles:
         assert "unknown key" in capsys.readouterr().err
 
 
+class TestTableLessModes:
+    # modes that write only a JSON payload: --out, as a flag or a config
+    # key, is a usage error raised before either file is written
+    MODES = {
+        "breakeven": ["classical", "--breakeven", "--epsilon", "0.01"],
+        "slots": ["feasibility", "--L", "1km"],
+    }
+
+    @pytest.mark.parametrize("via_config", [False, True],
+                             ids=["flag", "config"])
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_out_rejected(self, mode, via_config, tmp_path, capsys):
+        command, *argv = self.MODES[mode]
+        out = str(tmp_path / "t.csv")
+        conf = tmp_path / "t.cfg"
+        conf.write_text(f"[{command}]\nout = {out}\n")
+        argv += ["--config", str(conf)] if via_config else ["--out", out]
+        assert main([command, *argv, "--json",
+                     str(tmp_path / "t.json")]) == 1
+        assert "--out" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [conf]
+
+
 class TestTopLevel:
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 1

@@ -36,6 +36,8 @@ class TestBitHelpers:
         with pytest.raises(DomainError):
             as_bits("012")
         with pytest.raises(DomainError):
+            as_bits("1\u0661")  # a non-ASCII digit
+        with pytest.raises(DomainError):
             as_bits([0, 2])
         with pytest.raises(DimensionError):
             as_bits([])
@@ -203,7 +205,7 @@ class TestCodeFiles:
     def test_malformed_files_rejected(self):
         for text in ("", "1 2\n", "1 2 1 Nonsense\n10\n",
                      "2 3 1 Identity\n101\n", "1 3 1 Identity\n10\n",
-                     "1 3 1 Identity\n102\n"):
+                     "1 3 1 Identity\n102\n", "1 2 1 Identity\n1\u0661\n"):
             with pytest.raises(CodeFormatError):
                 load_code(io.StringIO(text))
 

@@ -1,10 +1,10 @@
-"""Report emission: atomic writes."""
+"""Report emission: CSV rows and atomic writes."""
 
 import os
 
 import pytest
 
-from qfp.reports import atomic_write_text
+from qfp.reports import atomic_write_text, csv_text
 
 
 def test_write_replaces_contents_and_leaves_no_temp(tmp_path):
@@ -50,3 +50,9 @@ def test_chunks_written_in_order(tmp_path):
     path = tmp_path / "report.csv"
     atomic_write_text(path, iter(["a,b\n", "", "1,2\n"]))
     assert path.read_bytes() == b"a,b\n1,2\n"
+
+
+def test_csv_row_missing_a_field_raises():
+    assert csv_text(("a", "b"), [{"a": 1, "b": None}]) == "a,b\n1,\n"
+    with pytest.raises(KeyError, match="'b'"):
+        csv_text(("a", "b"), [{"a": 1}])
