@@ -1,10 +1,8 @@
 """Single-photon interferometer simulator and analysis toolkit for
 equality fingerprinting protocols."""
 
-from .classical import (BoundReport, QuantumCost, SmpSearchResult, Strategy,
-                        breakeven_n, brute_force_smp, full_bound_report,
-                        holevo_classical_cap, quantum_cost,
-                        quantum_cost_rate_half, shared_randomness_floor,
+from .classical import (BoundReport, SmpSearchResult, Strategy, breakeven_n,
+                        brute_force_smp, full_bound_report,
                         smp_equality_lower_bounds, strategy_space_size)
 from .ecc import (Code, CodeKind, as_bits, bits_to_hex, bits_to_string,
                   encode, hadamard_code, hamming_distance, identity_code,
@@ -14,8 +12,7 @@ from .errors import (CodeFormatError, ConfigError, DimensionError,
                      DomainError, NormalizationError, QfpError,
                      ResourceLimitError, StageMismatchError)
 from .modes import (ModeLabel, ModeState, PortProbabilities, Stage,
-                    apply_phases, dump_amplitudes_csv, inverse_recombine,
-                    load_amplitudes_csv, port_probabilities, prepare_split,
+                    apply_phases, port_probabilities, prepare_split,
                     recombine)
 from .physical import (FeasibleD, ImperfectionModel, NoiseRates, PhotonSplit,
                        conditional_error_with_noise, feasible_d,
@@ -24,7 +21,7 @@ from .protocol import (BatchResult, ProtocolParams, RunResult, Verdict,
                        amplified_error_bound, batch_report_csv,
                        batch_report_json, build_branch_state,
                        exact_report_row, phase_protocol_average_error,
-                       phase_protocol_pn, phase_protocol_pn_closed_form,
-                       repetitions_needed, run_batch, run_exact, run_sampled)
+                       phase_protocol_pn, repetitions_needed, run_batch,
+                       run_exact, run_sampled)
 
 __version__ = "0.1.0"

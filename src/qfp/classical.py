@@ -1,4 +1,4 @@
-"""Classical simultaneous-message-passing baselines and cost accounting.
+"""Classical simultaneous-message-passing baselines and bound arithmetic.
 
 Two kinds of results live here.  First, an exhaustive search over every
 deterministic SMP strategy on small alphabets (Alice's message map, Bob's
@@ -7,8 +7,8 @@ like "no bit-plus-trit strategy averages below 2/9".  Shared randomness
 cannot beat that floor: a shared coin just mixes deterministic strategies,
 and the average error of a mixture is the mixture of average errors.
 Second, closed-form calculators for the known communication lower bounds
-and for the quantum side's qubit accounting, including the break-even
-input length where the quantum protocol undercuts the classical bound.
+and for the break-even input length where the quantum protocol's qubits
+per party undercut the classical bound.
 """
 
 from __future__ import annotations
@@ -122,16 +122,6 @@ def brute_force_smp(q: int, alice_msgs: int, bob_msgs: int) -> SmpSearchResult:
     )
 
 
-def shared_randomness_floor(q: int, alice_msgs: int,
-                            bob_msgs: int) -> Fraction:
-    """Minimum average error even with shared randomness.
-
-    A shared random string selects a deterministic strategy, and averaging
-    is linear, so no mixture beats the deterministic minimum.
-    """
-    return brute_force_smp(q, alice_msgs, bob_msgs).average_error
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Communication lower bounds for equality on n-bit inputs."""
@@ -156,36 +146,6 @@ def smp_equality_lower_bounds(n: int) -> BoundReport:
     root = math.sqrt(n)
     return BoundReport(n=n, ab_lower=n / 400.0, max_lower=root / 20.0,
                        shared_bit_lower=root / 40.0)
-
-
-@dataclass(frozen=True)
-class QuantumCost:
-    """Qubit accounting for the split-photon protocol with m modes."""
-
-    per_party_per_run: float   # log2(m): each party's channel has m paths
-    per_party_total: float     # k runs
-    channel_total: float       # joint 2m-dim space per run: 1 + log2(m)
-
-
-def quantum_cost(m: int, k: int) -> QuantumCost:
-    if m < 1 or k < 1:
-        raise DomainError("m and k must be >= 1")
-    per_run = math.log2(m)
-    return QuantumCost(per_run, k * per_run, 1.0 + math.log2(m))
-
-
-def quantum_cost_rate_half(n: int, k: int) -> QuantumCost:
-    """Cost with a rate-1/2 code (m = 2n), so log2(m) = 1 + log2(n)."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    return quantum_cost(2 * n, k)
-
-
-def holevo_classical_cap(m: int) -> float:
-    """Classical bits extractable from the 2m-dimensional photon state."""
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
-    return 1.0 + math.log2(m)
 
 
 def breakeven_sides(n: int, k: int) -> tuple[float, float]:

@@ -174,12 +174,16 @@ def _write(path, text) -> None:
     print(f"wrote {path}")
 
 
-def _emit(args, payload, fieldnames=None, rows=()) -> None:
-    """Write the mode's table to --out and ``payload`` to --json; --out
-    is a usage error for a mode without a table."""
-    if args.out and fieldnames is None:
+def _reject_out(args) -> None:
+    """--out is a usage error for a mode without a table; checked before
+    the mode computes or prints anything."""
+    if args.out:
         raise _UsageError(f"qfp {args.command}: --out needs a mode with a "
                           f"table; this mode writes only --json")
+
+
+def _emit(args, payload, fieldnames=None, rows=()) -> None:
+    """Write the mode's table to --out and ``payload`` to --json."""
     if args.out:
         _write(args.out, reports.csv_text(fieldnames, rows))
     if args.json:
@@ -276,6 +280,7 @@ def cmd_classical(args) -> int:
         return 0
 
     if args.breakeven:
+        _reject_out(args)
         _default(args, "epsilon", 0.01)
         _default(args, "mu", 2.0)
         n_star = classical.breakeven_n(args.epsilon, args.mu)
@@ -391,6 +396,7 @@ def cmd_feasibility(args) -> int:
         _emit(args, payload, NOISE_CSV_FIELDS, rows)
         return 0
 
+    _reject_out(args)
     slots = physical.feasible_d(model)
     payload = {
         "command": "feasibility", "mode": "slots",

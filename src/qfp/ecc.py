@@ -45,7 +45,8 @@ class Code:
     generator: np.ndarray
 
     def __post_init__(self):
-        gen = np.array(self.generator, dtype=np.uint8)
+        # a uint8 generator is taken without a copy and made read-only
+        gen = np.asarray(self.generator, dtype=np.uint8)
         if gen.shape != (self.n, self.m):
             raise DimensionError(
                 f"generator shape {gen.shape} != ({self.n}, {self.m})"
@@ -82,7 +83,9 @@ def as_bits(bits) -> np.ndarray:
 
 
 def bits_to_string(bits: np.ndarray) -> str:
-    return "".join("1" if b else "0" for b in np.asarray(bits))
+    """The 0/1 string of a bit vector, the inverse of :func:`as_bits`."""
+    digits = np.asarray(bits, dtype=np.uint8) + ord("0")
+    return digits.tobytes().decode("ascii")
 
 
 def bits_to_hex(bits) -> str:
@@ -245,15 +248,16 @@ def load_code(src) -> Code:
     gen = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
     del lines, rows  # the text is as large as the generator
     gen = (gen - ord("0")).reshape(n, m)
-    if kind is not CodeKind.RANDOM_LINEAR:
-        canonical = _canonical_code(kind, n, m)
-        if (canonical is None or canonical.t != t
-                or not np.array_equal(canonical.generator, gen)):
-            raise CodeFormatError(
-                f"not the {kind.value} code with n={n}, m={m}: the generator "
-                f"or the distance t={t} differs from the construction"
-            )
-    return Code(n, m, t, kind, gen)
+    if kind is CodeKind.RANDOM_LINEAR:
+        return Code(n, m, t, kind, gen)
+    canonical = _canonical_code(kind, n, m)
+    if (canonical is None or canonical.t != t
+            or not np.array_equal(canonical.generator, gen)):
+        raise CodeFormatError(
+            f"not the {kind.value} code with n={n}, m={m}: the generator "
+            f"or the distance t={t} differs from the construction"
+        )
+    return canonical
 
 
 def _canonical_code(kind: CodeKind, n: int, m: int) -> Code | None:

@@ -28,33 +28,20 @@ from __future__ import annotations
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_GOLDEN_INT = 0x9E3779B97F4A7C15
-_MIX1_INT = 0xBF58476D1CE4E5B9
-_MIX2_INT = 0x94D049BB133111EB
 _TO_U01 = 2.0**-53
 
-_GOLDEN = np.uint64(_GOLDEN_INT)
-_MIX1 = np.uint64(_MIX1_INT)
-_MIX2 = np.uint64(_MIX2_INT)
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 _SH30 = np.uint64(30)
 _SH27 = np.uint64(27)
 _SH31 = np.uint64(31)
 _SH11 = np.uint64(11)
 
 
-
 # ---------------------------------------------------------------------------
 # splitmix64 streams
 # ---------------------------------------------------------------------------
-
-def splitmix64_next(state: int) -> tuple[int, int]:
-    """One splitmix64 step on plain Python ints (reference implementation)."""
-    state = (state + _GOLDEN_INT) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * _MIX1_INT) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2_INT) & _MASK64
-    return state, z ^ (z >> 31)
-
 
 def splitmix64_stream(seed: int, count: int) -> np.ndarray:
     """Outputs 1..count of the splitmix64 stream seeded with ``seed``."""
@@ -143,27 +130,10 @@ def sample_indices(probs: np.ndarray, k: int, seed: int) -> np.ndarray:
 # noisy-apparatus Monte Carlo
 # ---------------------------------------------------------------------------
 
-def binomial_cdf(n: int, p: float) -> np.ndarray:
-    """CDF table P(X <= j) for j = 0..n, Binomial(n, p), built in float64.
-
-    The full table, in O(n); :func:`noise_verdicts` uses only its first
-    two entries (see :func:`_dark_count_cdf`).
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if not 0.0 <= p < 1.0:
-        raise ValueError("p must lie in [0, 1)")
-    pmf = np.empty(n + 1, dtype=np.float64)
-    q = 1.0 - p
-    pmf[0] = q**n
-    for j in range(n):
-        pmf[j + 1] = pmf[j] * ((n - j) / (j + 1.0)) * (p / q)
-    return np.cumsum(pmf)
-
-
 def _dark_count_cdf(n: int, p: float) -> np.ndarray:
     # P(X = 0) and P(X <= 1) of Binomial(n, p) (just P(X = 0) when n = 0),
-    # with the float operations of binomial_cdf, so equal to its first entries
+    # with the float operations of the full-table dark-count oracle in
+    # tests/test_kernels.py, so equal to its first entries bit for bit
     if n < 0:
         raise ValueError("n must be >= 0")
     if not 0.0 <= p < 1.0:

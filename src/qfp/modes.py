@@ -82,10 +82,10 @@ class ModeState:
             )
         # vdot is one BLAS call, several times cheaper than sum(abs**2)
         # on the tiny states the phase protocols build per symbol pair
-        norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        norm2 = float(np.vdot(amps, amps).real)
+        if abs(norm2 - 1.0) > NORM_TOL:
             raise NormalizationError(
-                f"state norm^2 = {norm_sq!r} is not 1 within {NORM_TOL}"
+                f"state norm^2 = {norm2!r} is not 1 within {NORM_TOL}"
             )
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
@@ -94,29 +94,6 @@ class ModeState:
     def m(self) -> int:
         """Number of internal modes per side."""
         return self.amps.shape[1]
-
-    def amplitude(self, side: str, index: int) -> complex:
-        """Amplitude of the labeled mode (index is 1-based)."""
-        row = _side_row(self.stage, side)
-        if not 1 <= index <= self.m:
-            raise DimensionError(
-                f"mode index {index} outside 1..{self.m}"
-            )
-        return complex(self.amps[row, index - 1])
-
-    def labels(self) -> list[ModeLabel]:
-        """All 2m labels in storage order (first side, then second)."""
-        first, second = SIDES[self.stage]
-        return [ModeLabel(self.stage, s, i + 1)
-                for s in (first, second) for i in range(self.m)]
-
-    def as_dict(self) -> dict[ModeLabel, complex]:
-        """Amplitudes keyed by label."""
-        flat = self.amps.ravel()
-        return {lab: complex(flat[i]) for i, lab in enumerate(self.labels())}
-
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
 
 
 def _side_row(stage: Stage, side: str) -> int:
@@ -184,16 +161,6 @@ def recombine(state: ModeState) -> ModeState:
     return ModeState(Stage.PORT, amps)
 
 
-def inverse_recombine(state: ModeState) -> ModeState:
-    """Undo :func:`recombine`; the beam-splitter matrix is its own inverse."""
-    _require_stage(state, Stage.PORT, "inverse_recombine")
-    e, n = state.amps[0], state.amps[1]
-    amps = np.empty_like(state.amps)
-    amps[0] = (e + n) * _INV_SQRT2
-    amps[1] = (e - n) * _INV_SQRT2
-    return ModeState(Stage.BRANCH, amps)
-
-
 def port_probabilities(state: ModeState) -> PortProbabilities:
     """Detection statistics in the port basis.
 
@@ -205,55 +172,3 @@ def port_probabilities(state: ModeState) -> PortProbabilities:
     probs.setflags(write=False)
     return PortProbabilities(float(probs[0].sum()), float(probs[1].sum()),
                              probs)
-
-
-def dump_amplitudes_csv(state: ModeState, dest) -> None:
-    """Write amplitudes as CSV rows ``stage,side,index,re,im`` (debug aid).
-
-    ``dest`` may be a path or an open text file.
-    """
-    own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")
-    fh = open(dest, "w", encoding="utf-8", newline="") if own else dest
-    try:
-        fh.write("stage,side,index,re,im\n")
-        for (stage, side, index), amp in state.as_dict().items():
-            fh.write(f"{stage.value},{side},{index},"
-                     f"{amp.real!r},{amp.imag!r}\n")
-    finally:
-        if own:
-            fh.close()
-
-
-def load_amplitudes_csv(src) -> ModeState:
-    """Read a state back from :func:`dump_amplitudes_csv` output."""
-    own = isinstance(src, (str, bytes)) or hasattr(src, "__fspath__")
-    fh = open(src, "r", encoding="utf-8") if own else src
-    try:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    finally:
-        if own:
-            fh.close()
-    if not lines or lines[0] != "stage,side,index,re,im":
-        raise DimensionError("not an amplitude dump (bad header)")
-    if len(lines) == 1:
-        raise DimensionError("amplitude dump holds no rows")
-    entries = []
-    for ln in lines[1:]:
-        try:
-            stage_s, side, index_s, re_s, im_s = ln.split(",")
-            entry = (Stage(stage_s), side, int(index_s),
-                     complex(float(re_s), float(im_s)))
-        except ValueError as exc:
-            raise DimensionError(f"bad amplitude row {ln!r}: {exc}") from None
-        # a dump lists every mode of both sides, so no index exceeds the rows
-        if not 1 <= entry[2] <= len(lines) - 1:
-            raise DimensionError(f"mode index out of range in row {ln!r}")
-        entries.append(entry)
-    stage = entries[0][0]
-    m = max(e[2] for e in entries)
-    amps = np.zeros((2, m), dtype=np.complex128)
-    for st, side, index, amp in entries:
-        if st is not stage:
-            raise DimensionError("dump mixes branch and port labels")
-        amps[_side_row(stage, side), index - 1] = amp
-    return ModeState(stage, amps)

@@ -41,7 +41,8 @@ class ImperfectionModel:
 
     def __post_init__(self):
         checks = (
-            (self.mean_photon_number >= 0.0, "mean_photon_number >= 0"),
+            (0.0 <= self.mean_photon_number < math.inf,
+             "mean_photon_number finite and >= 0"),
             (0.0 < self.transmission <= 1.0, "transmission in (0, 1]"),
             (0.0 < self.detector_efficiency <= 1.0,
              "detector_efficiency in (0, 1]"),
@@ -66,10 +67,9 @@ class PhotonSplit(NamedTuple):
 
 def photon_number_distribution(mean_photon_number: float) -> PhotonSplit:
     """Probabilities of 0, 1 and >= 2 photons for a coherent pulse train."""
-    if mean_photon_number < 0.0:
-        raise DomainError(
-            f"mean photon number must be >= 0, got {mean_photon_number!r}"
-        )
+    if not 0.0 <= mean_photon_number < math.inf:
+        raise DomainError(f"mean photon number must be finite and >= 0, "
+                          f"got {mean_photon_number!r}")
     p0 = math.exp(-mean_photon_number)
     p1 = mean_photon_number * p0
     return PhotonSplit(p0, p1, 1.0 - p0 - p1)
@@ -94,11 +94,13 @@ class FeasibleD(NamedTuple):
 def feasible_d(model: ImperfectionModel) -> FeasibleD:
     """Slot counts for the model's separation, period and index."""
     window = model.window_factor * model.separation / SPEED_OF_LIGHT
-    return FeasibleD(
-        d_vacuum=int(window / model.pulse_period),
-        d_fiber=int(window * model.refractive_index / model.pulse_period),
-        d_nominal_3us=int(NOMINAL_WINDOW_S / model.pulse_period),
-    )
+    counts = (window / model.pulse_period,
+              window * model.refractive_index / model.pulse_period,
+              NOMINAL_WINDOW_S / model.pulse_period)
+    if not all(map(math.isfinite, counts)):
+        raise DomainError(f"slot counts {counts} are not finite: the window "
+                          f"is too long for the pulse period")
+    return FeasibleD(*map(int, counts))
 
 
 @dataclass(frozen=True)

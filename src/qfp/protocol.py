@@ -214,15 +214,6 @@ def phase_protocol_pn(q: int, x: int, y: int) -> float:
     return port_probabilities(recombine(state)).p_not_equal
 
 
-def phase_protocol_pn_closed_form(q: int, x: int, y: int) -> float:
-    """sin^2(pi (x - y) / q), the analytic value of the pipeline above."""
-    if q < 2:
-        raise DomainError(f"alphabet size q must be >= 2, got {q}")
-    _check_symbol(q, x, "x")
-    _check_symbol(q, y, "y")
-    return math.sin(math.pi * (x - y) / q) ** 2
-
-
 def phase_protocol_average_error(q: int) -> float:
     """Referee error averaged over uniform (x, y) pairs.
 

@@ -9,10 +9,9 @@ from fractions import Fraction
 import pytest
 
 from qfp import (DomainError, ResourceLimitError, Verdict, breakeven_n,
-                 brute_force_smp, full_bound_report, holevo_classical_cap,
-                 phase_protocol_average_error, quantum_cost,
-                 quantum_cost_rate_half, shared_randomness_floor,
-                 smp_equality_lower_bounds, strategy_space_size)
+                 brute_force_smp, full_bound_report,
+                 phase_protocol_average_error, smp_equality_lower_bounds,
+                 strategy_space_size)
 from qfp.classical import Strategy
 from qfp.ecc import justesen_nu
 from qfp.protocol import repetitions_needed
@@ -49,9 +48,8 @@ class TestBruteForceSmp:
         assert brute_force_smp(3, 2, 2).average_error >= base
 
     def test_squeezed_both_parties(self):
-        # one bit each on trits: exhaustive value, equal to the alias
+        # one bit each on trits: exhaustive value
         result = brute_force_smp(3, 2, 2)
-        assert result.average_error == shared_randomness_floor(3, 2, 2)
         assert result.average_error == Fraction(result.misclassified_pairs, 9)
 
     def test_worst_case_flag(self):
@@ -82,11 +80,6 @@ class TestBruteForceSmp:
 
 
 class TestSharedRandomnessFloor:
-    def test_alias_equality(self):
-        for q, a, b in ((3, 3, 2), (2, 2, 2), (3, 2, 2)):
-            assert shared_randomness_floor(q, a, b) == \
-                brute_force_smp(q, a, b).average_error
-
     def test_mixtures_cannot_beat_pure(self):
         # random mixtures of random deterministic strategies average at
         # or above the deterministic floor (linearity of expectation)
@@ -135,32 +128,6 @@ class TestLowerBounds:
     def test_domain(self):
         with pytest.raises(DomainError):
             smp_equality_lower_bounds(0)
-
-
-class TestQuantumCost:
-    def test_single_mode_protocol_is_one_qubit_channel(self):
-        cost = quantum_cost(1, 1)
-        assert cost.per_party_per_run == 0.0
-        assert cost.channel_total == 1.0
-
-    def test_two_modes(self):
-        assert quantum_cost(2, 1).channel_total == 2.0
-
-    def test_rate_half_convention(self):
-        cost = quantum_cost_rate_half(2**10, 1)
-        assert cost.per_party_per_run == 11.0
-        assert quantum_cost_rate_half(2**10, 67).per_party_total == 737.0
-
-    def test_holevo_cap(self):
-        assert holevo_classical_cap(1) == 1.0
-        assert holevo_classical_cap(1024) == 11.0
-        assert holevo_classical_cap(2 * 1) == 2.0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            quantum_cost(0, 1)
-        with pytest.raises(DomainError):
-            holevo_classical_cap(0)
 
 
 class TestBreakeven:

@@ -318,6 +318,18 @@ class TestFeasibilityCommand:
         assert rc == 0
         assert seconds < 60 and peak_mb < 150
 
+    @pytest.mark.parametrize("argv", [
+        ["--period", "1e-320"], ["--L", "1e309"], ["--index", "1e308"],
+        ["--window-factor", "1e308"], ["--mu-photon", "inf"],
+        ["--mu-photon", "nan"],
+        ["--noise", "--pn", "0.5", "--period", "1e-320"],
+    ], ids=" ".join)
+    def test_non_finite_inputs_are_domain_errors(self, argv, capsys):
+        # an exception main does not catch (a traceback at the command
+        # line) fails the call here
+        assert main(["feasibility", *argv]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_dark_sweep_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main(["feasibility", "--sweep-dark", "0,1e-4,1e-3",
@@ -371,6 +383,17 @@ class TestCodesCommand:
     def test_missing_action(self, capsys):
         assert main(["codes"]) == 1
         assert "export, import, show, verify" in capsys.readouterr().err
+
+    def test_show_hadamard_20_memory(self, tmp_path):
+        # the loaded generator is checked against the construction and
+        # only the constructed code is kept: one 1 MiB x 20 generator,
+        # never copied
+        assert main(["codes", "export", "--kind", "hadamard", "--n", "20",
+                     "--out", str(tmp_path / "had.code")]) == 0
+        rc, _, peak_mb = run_child(["codes", "show", "--in", "had.code"],
+                                   tmp_path)
+        assert rc == 0
+        assert peak_mb < 120
 
     def test_import_alias_loads_file(self, tmp_path, capsys):
         path = tmp_path / "rep.code"
@@ -478,7 +501,9 @@ class TestTableLessModes:
         argv += ["--config", str(conf)] if via_config else ["--out", out]
         assert main([command, *argv, "--json",
                      str(tmp_path / "t.json")]) == 1
-        assert "--out" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "--out" in captured.err
+        assert captured.out == ""  # rejected before the report is computed
         assert list(tmp_path.iterdir()) == [conf]
 
 

@@ -1,15 +1,12 @@
 """Mode-state core: preparation, phase encoding, recombination, statistics."""
 
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfp import (DimensionError, ModeState, NormalizationError, Stage,
-                 StageMismatchError, apply_phases, dump_amplitudes_csv,
-                 inverse_recombine, load_amplitudes_csv, port_probabilities,
+                 StageMismatchError, apply_phases, port_probabilities,
                  prepare_split, recombine)
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -25,19 +22,19 @@ class TestPrepareSplit:
     def test_single_mode(self):
         state = prepare_split(1)
         assert state.stage is Stage.BRANCH
-        assert state.amplitude("A", 1) == pytest.approx(INV_SQRT2, abs=1e-12)
-        assert state.amplitude("B", 1) == pytest.approx(INV_SQRT2, abs=1e-12)
+        assert state.amps[0, 0] == pytest.approx(INV_SQRT2, abs=1e-12)
+        assert state.amps[1, 0] == pytest.approx(INV_SQRT2, abs=1e-12)
 
     def test_two_modes_quarter_amplitudes(self):
         state = prepare_split(2)
-        for side in "AB":
-            for i in (1, 2):
-                assert state.amplitude(side, i) == pytest.approx(0.5)
+        for row in (0, 1):  # sides A and B
+            for i in (0, 1):
+                assert state.amps[row, i] == pytest.approx(0.5)
 
     def test_sixteen_modes_normalized(self):
         state = prepare_split(16)
-        assert state.amplitude("A", 7) == pytest.approx(1 / np.sqrt(32))
-        assert abs(state.norm_sq() - 1.0) < 1e-12
+        assert state.amps[0, 6] == pytest.approx(1 / np.sqrt(32))
+        assert abs(np.vdot(state.amps, state.amps).real - 1.0) < 1e-12
 
     def test_zero_modes_rejected(self):
         with pytest.raises(DimensionError):
@@ -47,10 +44,9 @@ class TestPrepareSplit:
 class TestApplyPhases:
     def test_pi_flip_on_alice(self):
         state = apply_phases(prepare_split(1), "A", [np.pi])
-        assert state.amplitude("A", 1).real == pytest.approx(-INV_SQRT2,
-                                                             abs=1e-12)
-        assert abs(state.amplitude("A", 1).imag) < 1e-12
-        assert state.amplitude("B", 1) == pytest.approx(INV_SQRT2, abs=1e-12)
+        assert state.amps[0, 0].real == pytest.approx(-INV_SQRT2, abs=1e-12)
+        assert abs(state.amps[0, 0].imag) < 1e-12
+        assert state.amps[1, 0] == pytest.approx(INV_SQRT2, abs=1e-12)
 
     def test_zero_phases_is_identity(self):
         state = prepare_split(3)
@@ -60,10 +56,9 @@ class TestApplyPhases:
     def test_flip_second_mode_of_bob(self):
         state = prepare_split(2)
         flipped = apply_phases(state, "B", [0.0, np.pi])
-        assert flipped.amplitude("B", 2).real == pytest.approx(-0.5, abs=1e-12)
-        for side, i in (("A", 1), ("A", 2), ("B", 1), ("B", 2)):
-            assert abs(flipped.amplitude(side, i)) == pytest.approx(0.5,
-                                                                    abs=1e-12)
+        assert flipped.amps[1, 1].real == pytest.approx(-0.5, abs=1e-12)
+        for row, i in ((0, 0), (0, 1), (1, 0), (1, 1)):  # A1, A2, B1, B2
+            assert abs(flipped.amps[row, i]) == pytest.approx(0.5, abs=1e-12)
 
     def test_wrong_stage_rejected(self):
         port = recombine(prepare_split(2))
@@ -93,7 +88,7 @@ class TestApplyPhases:
         rng = np.random.default_rng(seed)
         state = random_branch_state(rng, m)
         phased = apply_phases(state, "A", rng.uniform(-10, 10, m))
-        assert abs(phased.norm_sq() - 1.0) < 1e-12
+        assert abs(np.vdot(phased.amps, phased.amps).real - 1.0) < 1e-12
 
 
 class TestRecombine:
@@ -101,14 +96,14 @@ class TestRecombine:
         state = ModeState(Stage.BRANCH, [[INV_SQRT2], [INV_SQRT2]])
         out = recombine(state)
         assert out.stage is Stage.PORT
-        assert out.amplitude("E", 1) == pytest.approx(1.0, abs=1e-12)
-        assert out.amplitude("N", 1) == 0.0  # exact cancellation
+        assert out.amps[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert out.amps[1, 0] == 0.0  # exact cancellation
 
     def test_opposite_amplitudes_exit_not_equal_port(self):
         state = ModeState(Stage.BRANCH, [[INV_SQRT2], [-INV_SQRT2]])
         out = recombine(state)
-        assert out.amplitude("E", 1) == 0.0
-        assert out.amplitude("N", 1) == pytest.approx(1.0, abs=1e-12)
+        assert out.amps[0, 0] == 0.0
+        assert out.amps[1, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_unitarity_against_explicit_matrix(self):
         # independent 4x4 beam-splitter matrix on basis (A1, A2, B1, B2)
@@ -124,21 +119,12 @@ class TestRecombine:
             expected = bs @ state.amps.ravel()
             out = recombine(state)
             assert np.allclose(out.amps.ravel(), expected, atol=1e-12)
-            assert abs(out.norm_sq() - 1.0) < 1e-12
-
-    def test_self_inverse(self):
-        rng = np.random.default_rng(21)
-        for m in (1, 3, 8):
-            state = random_branch_state(rng, m)
-            back = inverse_recombine(recombine(state))
-            assert np.allclose(back.amps, state.amps, atol=1e-12)
+            assert abs(np.vdot(out.amps, out.amps).real - 1.0) < 1e-12
 
     def test_stage_checked_both_ways(self):
         port = recombine(prepare_split(2))
         with pytest.raises(StageMismatchError):
             recombine(port)
-        with pytest.raises(StageMismatchError):
-            inverse_recombine(prepare_split(2))
 
 
 class TestPortProbabilities:
@@ -193,7 +179,7 @@ class TestPortProbabilities:
     def test_recombine_preserves_norm(self, seed, m):
         rng = np.random.default_rng(seed)
         out = recombine(random_branch_state(rng, m))
-        assert abs(out.norm_sq() - 1.0) < 1e-12
+        assert abs(np.vdot(out.amps, out.amps).real - 1.0) < 1e-12
 
 
 class TestModeState:
@@ -209,47 +195,3 @@ class TestModeState:
         state = prepare_split(2)
         with pytest.raises(ValueError):
             state.amps[0, 0] = 0.0
-
-    def test_label_bookkeeping(self):
-        state = prepare_split(2)
-        labels = state.labels()
-        assert [(l.side, l.index) for l in labels] == [
-            ("A", 1), ("A", 2), ("B", 1), ("B", 2)]
-        assert state.as_dict()[labels[0]] == state.amplitude("A", 1)
-
-    def test_index_range_checked(self):
-        with pytest.raises(DimensionError):
-            prepare_split(2).amplitude("A", 3)
-
-
-class TestCsvDump:
-    def test_round_trip(self):
-        rng = np.random.default_rng(13)
-        state = recombine(random_branch_state(rng, 3))
-        buf = io.StringIO()
-        dump_amplitudes_csv(state, buf)
-        text = buf.getvalue()
-        assert text.startswith("stage,side,index,re,im\n")
-        assert len(text.strip().splitlines()) == 7
-        back = load_amplitudes_csv(io.StringIO(text))
-        assert back.stage is Stage.PORT
-        assert np.array_equal(back.amps, state.amps)
-
-    def test_file_round_trip(self, tmp_path):
-        state = prepare_split(2)
-        path = tmp_path / "amps.csv"
-        dump_amplitudes_csv(state, path)
-        back = load_amplitudes_csv(path)
-        assert np.array_equal(back.amps, state.amps)
-
-    @pytest.mark.parametrize("body", [
-        pytest.param("", id="header-only"),
-        pytest.param("port,E,1,1.0\n", id="four-fields"),
-        pytest.param("photon,E,1,1.0,0.0\n", id="unknown-stage"),
-        pytest.param("port,E,0,1.0,0.0\nport,N,1,0.0,0.0\n", id="index-0"),
-        pytest.param("port,E,9,1.0,0.0\n", id="index-past-rows"),
-        pytest.param("port,E,one,1.0,0.0\n", id="non-integer-index"),
-    ])
-    def test_malformed_dump_raises_dimension_error(self, body):
-        with pytest.raises(DimensionError):
-            load_amplitudes_csv(io.StringIO("stage,side,index,re,im\n" + body))

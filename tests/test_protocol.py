@@ -14,9 +14,8 @@ from qfp import (DimensionError, DomainError, ProtocolParams, Verdict,
                  amplified_error_bound, batch_report_csv, batch_report_json,
                  bits_to_hex, encode, exact_report_row, hadamard_code,
                  hamming_distance, identity_code, phase_protocol_average_error,
-                 phase_protocol_pn, phase_protocol_pn_closed_form,
-                 random_linear_code, repetition_code, repetitions_needed,
-                 run_batch, run_exact, run_sampled)
+                 phase_protocol_pn, random_linear_code, repetition_code,
+                 repetitions_needed, run_batch, run_exact, run_sampled)
 from qfp import protocol, reports
 from qfp.protocol import RUN_CSV_FIELDS
 
@@ -258,7 +257,7 @@ class TestPhaseProtocol:
             for x in range(q):
                 for y in range(q):
                     assert phase_protocol_pn(q, x, y) == pytest.approx(
-                        phase_protocol_pn_closed_form(q, x, y), abs=1e-12)
+                        math.sin(math.pi * (x - y) / q) ** 2, abs=1e-12)
 
     def test_average_error_trit(self):
         assert phase_protocol_average_error(3) == pytest.approx(1 / 6,
