@@ -164,13 +164,17 @@ def breakeven_n(epsilon: float, mu: float = 2.0) -> int:
     """Smallest input length where the quantum protocol undercuts the
     classical shared-bit floor.
 
-    Uses the rate-1/mu distance nu = justesen_nu(mu), the matching
-    repetition count k, and searches for the first n with
-    k (1 + log2 n) <= sqrt(n)/40 by doubling then integer bisection.
-    The crossing is checked on both sides before returning.
+    Uses the rate-1/mu distance nu = justesen_nu(mu) and the matching
+    repetition count k; see :func:`breakeven_for_k`.
     """
-    nu = justesen_nu(mu)
-    k = repetitions_needed(nu, epsilon)
+    return breakeven_for_k(repetitions_needed(justesen_nu(mu), epsilon))
+
+
+def breakeven_for_k(k: int) -> int:
+    """First n with k (1 + log2 n) <= sqrt(n)/40, found by doubling then
+    integer bisection.  The crossing is checked on both sides before
+    returning.
+    """
     hi = 1
     while not _quantum_beats_classical(hi, k):
         hi *= 2

@@ -283,9 +283,10 @@ def cmd_classical(args) -> int:
         _reject_out(args)
         _default(args, "epsilon", 0.01)
         _default(args, "mu", 2.0)
-        n_star = classical.breakeven_n(args.epsilon, args.mu)
+        protocol.check_target_error(args.epsilon)
         nu = ecc.justesen_nu(args.mu)
         k = protocol.repetitions_needed(nu, args.epsilon)
+        n_star = classical.breakeven_for_k(k)
         lhs, rhs = classical.breakeven_sides(n_star, k)
         lhs_h, rhs_h = classical.breakeven_sides(max(1, n_star // 2), k)
         print(f"break-even n* = {n_star} (epsilon = {args.epsilon}, "

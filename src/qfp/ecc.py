@@ -20,6 +20,8 @@ from .errors import (CodeFormatError, DimensionError, DomainError,
                      ResourceLimitError)
 
 ORACLE_MAX_N = 20
+# no analytic generator holds more entries than the largest Hadamard one
+GENERATOR_MAX_ENTRIES = ORACLE_MAX_N << ORACLE_MAX_N
 
 
 class CodeKind(enum.Enum):
@@ -113,10 +115,20 @@ def hamming_distance(a, b) -> int:
     return int(np.count_nonzero(av != bv))
 
 
+def _check_generator_size(kind: str, n: int, m: int) -> None:
+    # checked before the (n, m) generator is allocated
+    if n * m > GENERATOR_MAX_ENTRIES:
+        raise ResourceLimitError(
+            f"{kind} generator of {n} x {m} entries exceeds the desk-scale "
+            f"cap ({GENERATOR_MAX_ENTRIES} entries)"
+        )
+
+
 def identity_code(n: int) -> Code:
     """Messages sent verbatim; distance 1."""
     if n < 1:
         raise DomainError("n must be >= 1")
+    _check_generator_size("identity_code", n, n)
     return Code(n, n, 1, CodeKind.IDENTITY, np.eye(n, dtype=np.uint8))
 
 
@@ -125,6 +137,7 @@ def repetition_code(n: int, r: int) -> Code:
     columns i*r .. i*r + r - 1.  Distance r (met by weight-1 messages)."""
     if n < 1 or r < 1:
         raise DomainError("n and r must be >= 1")
+    _check_generator_size("repetition_code", n, n * r)
     gen = np.zeros((n, n * r), dtype=np.uint8)
     for i in range(n):
         gen[i, i * r:(i + 1) * r] = 1

@@ -21,6 +21,15 @@ Batch routines give trial ``i`` (0-based) a private substream whose seed is
 output ``i + 1`` of a master stream.  A single trial is therefore
 replayable from its recorded substream seed alone, and trials may run in
 any order or in parallel without sharing state.
+
+Block contract
+--------------
+The batch samplers work through their trials in blocks of at most
+``_TRIAL_BLOCK``.  Block ``[a, b)`` derives its own substream seeds,
+outputs ``a + 1 .. b`` of the master stream, takes every draw of those
+trials and writes their results into ``out[a:b]``.  No block reads another
+block's state, so the result is bit-identical for every block size, and
+memory beyond the result array is O(block), whatever the trial count.
 """
 
 from __future__ import annotations
@@ -43,19 +52,32 @@ _SH11 = np.uint64(11)
 # splitmix64 streams
 # ---------------------------------------------------------------------------
 
-def splitmix64_stream(seed: int, count: int) -> np.ndarray:
-    """Outputs 1..count of the splitmix64 stream seeded with ``seed``."""
+_TRIAL_BLOCK = 1 << 14  # trials sampled per kernel block
+
+
+def splitmix64_stream(seed: int, count: int, start: int = 0) -> np.ndarray:
+    """Outputs ``start + 1 .. start + count`` of the splitmix64 stream
+    seeded with ``seed``."""
     s0 = np.uint64(int(seed) & _MASK64)
-    steps = np.arange(1, count + 1, dtype=np.uint64)
+    steps = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     s = s0 + steps * _GOLDEN
     z = (s ^ (s >> _SH30)) * _MIX1
     z = (z ^ (z >> _SH27)) * _MIX2
     return z ^ (z >> _SH31)
 
 
-def derive_stream_seeds(master_seed: int, trials: int) -> np.ndarray:
-    """Substream seed for each trial: output ``i + 1`` of the master stream."""
-    return splitmix64_stream(master_seed, trials)
+def derive_stream_seeds(master_seed: int, trials: int,
+                        start: int = 0) -> np.ndarray:
+    """Substream seeds of trials ``start .. start + trials - 1``: trial
+    ``i`` gets output ``i + 1`` of the master stream."""
+    return splitmix64_stream(master_seed, trials, start)
+
+
+def _trial_blocks(master_seed: int, trials: int):
+    # (start, substream seeds) of each block of trials, in trial order
+    for start in range(0, trials, _TRIAL_BLOCK):
+        count = min(_TRIAL_BLOCK, trials - start)
+        yield start, derive_stream_seeds(master_seed, count, start)
 
 
 def uniforms_from_seed(seed: int, count: int) -> np.ndarray:
@@ -86,8 +108,8 @@ def _prepare_distribution(probs: np.ndarray) -> tuple[np.ndarray, int]:
     return np.cumsum(probs), int(positive[-1])
 
 
-def click_counts(probs: np.ndarray, k: int, trials: int,
-                 master_seed: int) -> np.ndarray:
+def click_counts(probs: np.ndarray, k: int, trials: int, master_seed: int,
+                 dtype=np.int64) -> np.ndarray:
     """Per-trial count of outcomes landing in the upper half of ``probs``.
 
     ``probs`` holds the 2m per-mode probabilities ordered as all equal-port
@@ -98,7 +120,9 @@ def click_counts(probs: np.ndarray, k: int, trials: int,
     ``u >= cum[m - 1]``, one comparison per draw.  A ``u`` past the table
     takes the last positive outcome, so with no N-port mass no draw clicks
     N.  Outcomes with exactly zero probability are structurally
-    unreachable, which keeps one-sided error exact.
+    unreachable, which keeps one-sided error exact.  Counts are stored in
+    ``dtype``, which must hold ``k``; each block is written straight into
+    it.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim == 1 and probs.shape[0] % 2:
@@ -106,11 +130,12 @@ def click_counts(probs: np.ndarray, k: int, trials: int,
     cum, last_pos = _prepare_distribution(probs)
     m = probs.shape[0] // 2
     threshold = cum[m - 1] if last_pos >= m else np.inf
-    states = derive_stream_seeds(master_seed, trials)
-    counts = np.zeros(states.shape[0], dtype=np.int64)
-    for _ in range(int(k)):
-        states, u = _advance_u01(states)
-        counts += u >= threshold
+    counts = np.zeros(trials, dtype=dtype)
+    for start, states in _trial_blocks(master_seed, trials):
+        block = counts[start:start + states.shape[0]]
+        for _ in range(int(k)):
+            states, u = _advance_u01(states)
+            block += u >= threshold
     return counts
 
 
@@ -166,30 +191,35 @@ def noise_verdicts(p_zero: float, p_one: float, p_survive: float,
     dark_slots = int(dark_slots)
     dark_cdf = _dark_count_cdf(dark_slots, float(dark_prob))
     p_survive, p_click_n = float(p_survive), float(p_click_n)
-    states = derive_stream_seeds(master_seed, trials)
-    survived = np.zeros(states.shape[0], dtype=np.int64)
-    any_n = np.zeros(states.shape[0], dtype=np.bool_)
     dmax = min(dark_slots, 2)
-    for _ in range(int(k)):
-        # five draws per run in this order; reordering changes every verdict
-        states, u_photon = _advance_u01(states)
-        states, u_survive = _advance_u01(states)
-        states, u_port = _advance_u01(states)
-        states, u_dark_e = _advance_u01(states)
-        states, u_dark_n = _advance_u01(states)
-        multi = u_photon >= photon_cdf[1]
-        n_e = np.minimum(np.searchsorted(dark_cdf, u_dark_e, side="right"),
-                         dmax)
-        n_n = np.minimum(np.searchsorted(dark_cdf, u_dark_n, side="right"),
-                         dmax)
-        signal = (u_photon >= photon_cdf[0]) & (u_survive < p_survive) & ~multi
-        signal_n = signal & (u_port < p_click_n)
-        tot_e = n_e + (signal & ~signal_n)
-        tot_n = n_n + signal_n
-        valid = ~multi & (tot_e + tot_n == 1)
-        survived += valid
-        any_n |= valid & (tot_n == 1)
-    return np.where(survived == 0, 2, np.where(any_n, 1, 0)).astype(np.uint8)
+    verdicts = np.empty(trials, dtype=np.uint8)
+    for start, states in _trial_blocks(master_seed, trials):
+        survived = np.zeros(states.shape[0], dtype=np.int64)
+        any_n = np.zeros(states.shape[0], dtype=np.bool_)
+        for _ in range(int(k)):
+            # five draws per run in this order; reordering changes every
+            # verdict
+            states, u_photon = _advance_u01(states)
+            states, u_survive = _advance_u01(states)
+            states, u_port = _advance_u01(states)
+            states, u_dark_e = _advance_u01(states)
+            states, u_dark_n = _advance_u01(states)
+            multi = u_photon >= photon_cdf[1]
+            n_e = np.minimum(np.searchsorted(dark_cdf, u_dark_e,
+                                             side="right"), dmax)
+            n_n = np.minimum(np.searchsorted(dark_cdf, u_dark_n,
+                                             side="right"), dmax)
+            signal = ((u_photon >= photon_cdf[0]) & (u_survive < p_survive)
+                      & ~multi)
+            signal_n = signal & (u_port < p_click_n)
+            tot_e = n_e + (signal & ~signal_n)
+            tot_n = n_n + signal_n
+            valid = ~multi & (tot_e + tot_n == 1)
+            survived += valid
+            any_n |= valid & (tot_n == 1)
+        verdicts[start:start + states.shape[0]] = np.where(
+            survived == 0, 2, np.where(any_n, 1, 0))
+    return verdicts
 
 
 # ---------------------------------------------------------------------------

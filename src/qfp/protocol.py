@@ -35,6 +35,12 @@ class Verdict(enum.Enum):
     NOT_EQUAL = "NotEqual"
 
 
+def check_target_error(epsilon: float) -> None:
+    """A one-sided error target must lie in (0, 1/2)."""
+    if not 0.0 < epsilon < 0.5:
+        raise DomainError(f"epsilon must lie in (0, 1/2), got {epsilon!r}")
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Input length, code, repetition count and target error."""
@@ -51,10 +57,7 @@ class ProtocolParams:
             )
         if self.k < 1:
             raise DomainError(f"repetition count must be >= 1, got {self.k}")
-        if not 0.0 < self.epsilon < 0.5:
-            raise DomainError(
-                f"epsilon must lie in (0, 1/2), got {self.epsilon!r}"
-            )
+        check_target_error(self.epsilon)
 
     @classmethod
     def for_error_target(cls, code: Code, epsilon: float) -> "ProtocolParams":
@@ -84,8 +87,12 @@ class BatchResult:
     pn_exact: float
     k: int
     master_seed: int
-    trial_seeds: np.ndarray
     n_clicks: np.ndarray
+
+    @property
+    def trial_seeds(self) -> np.ndarray:
+        """Substream seed of each trial, derived from ``master_seed``."""
+        return kernels.derive_stream_seeds(self.master_seed, self.trials)
 
     @property
     def trials(self) -> int:
@@ -150,15 +157,16 @@ def run_batch(params: ProtocolParams, x, y, master_seed: int,
     """Sample ``trials`` independent protocols from one master seed.
 
     Trial i uses the substream seeded with ``trial_seeds[i]``;
-    ``run_sampled`` with that seed reproduces the trial exactly.
+    ``run_sampled`` with that seed reproduces the trial exactly.  Only the
+    N-click counts are stored, in the smallest unsigned type that holds k;
+    the seeds are derived again whenever they are read.
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     probs, pn = _port_distribution(params.code, x, y)
-    counts = kernels.click_counts(probs, params.k, trials, master_seed)
-    seeds = kernels.derive_stream_seeds(master_seed, trials)
-    return BatchResult(pn, params.k, int(master_seed) & (2**64 - 1),
-                       seeds, counts)
+    counts = kernels.click_counts(probs, params.k, trials, master_seed,
+                                  dtype=np.min_scalar_type(params.k))
+    return BatchResult(pn, params.k, int(master_seed) & (2**64 - 1), counts)
 
 
 def repetitions_needed(nu: float, epsilon: float) -> int:
@@ -251,7 +259,9 @@ def exact_report_row(code: Code, x, y) -> dict:
     return _run_row(code, None, x, y, pn, verdict.value, None, None)
 
 
-_ROW_BLOCK = 1 << 14  # trials rendered per report chunk
+# trials rendered per report chunk; the text of a 2^14-trial JSON chunk
+# outweighed every per-trial array of the run
+_ROW_BLOCK = 1 << 12
 _SLOT = "<slot>"  # stands for a per-trial value in a rendered template row
 
 
@@ -276,7 +286,8 @@ def _stream_rows(text: str, encode, batch: BatchResult) -> Iterator[str]:
     for start in range(0, batch.trials, _ROW_BLOCK):
         clicks = batch.n_clicks[start:start + _ROW_BLOCK]
         verdicts = np.where(clicks > 0, not_equal, equal).tolist()
-        seeds = batch.trial_seeds[start:start + _ROW_BLOCK].tolist()
+        seeds = kernels.derive_stream_seeds(batch.master_seed, clicks.size,
+                                            start).tolist()
         rows = joint.join(map(row.format, verdicts, clicks.tolist(), seeds))
         yield rows if start == 0 else joint + rows
     yield tail

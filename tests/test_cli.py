@@ -190,8 +190,8 @@ class TestRunCommand:
         assert "sampled 100 trials" in capsys.readouterr().out
 
     def test_report_memory_stays_flat_in_trials(self, tmp_path):
-        # rows are rendered a block at a time, so peak memory is the two
-        # per-trial arrays plus one block of text, not one dict per trial
+        # rows are rendered a block at a time, so peak memory is the
+        # per-trial counts plus one block of text, not one dict per trial
         rc, _, peak_mb = run_child(
             ["run", "--code", "hadamard", "--n", "4", "--x", "0000",
              "--y", "0110", "--k", "10", "--trials", "300000", "--seed", "3",
@@ -208,6 +208,23 @@ class TestRunCommand:
             tmp_path)
         assert rc == 0
         assert peak_mb < 120
+
+    def test_sampled_memory_flat_in_trials(self, tmp_path):
+        # trials are sampled a block at a time and no seeds are stored:
+        # 1e7 trials keep one byte of N-click count each
+        rc, _, peak_mb = run_child(
+            ["run", "--code", "hadamard", "--n", "4", "--x", "0000",
+             "--y", "0110", "--k", "10", "--trials", "10000000"], tmp_path)
+        assert rc == 0
+        assert peak_mb < 100
+
+    @pytest.mark.parametrize("argv", [
+        ["--code", "identity", "--n", "100000000000000000000"],
+        ["--code", "repetition", "--n", "2", "--r", "100000000000000000000"],
+    ], ids=["identity", "repetition"])
+    def test_oversized_analytic_code_exits_2(self, argv, capsys):
+        assert main(["run", *argv, "--x", "0", "--y", "1"]) == 2
+        assert "resource limit" in capsys.readouterr().err
 
     def test_json_mirror_field_names(self, tmp_path):
         out = tmp_path / "run.csv"
@@ -274,6 +291,14 @@ class TestClassicalCommand:
         n_star = int(out.split("break-even n* = ")[1].split()[0])
         assert 10**9 <= n_star <= 10**11
 
+    @pytest.mark.parametrize("epsilon", ["0.5", "0.6", "0", "-0.1"])
+    def test_breakeven_rejects_epsilon_outside_half(self, epsilon, capsys):
+        # the same (0, 1/2) domain as run; rejected before any output
+        assert main(["classical", "--breakeven", "--epsilon", epsilon]) == 1
+        captured = capsys.readouterr()
+        assert "epsilon must lie in (0, 1/2)" in captured.err
+        assert captured.out == ""
+
     def test_oversized_search_exits_2(self, capsys):
         assert main(["classical", "--q", "4", "--alice", "4",
                      "--bob", "4"]) == 2
@@ -317,6 +342,14 @@ class TestFeasibilityCommand:
              "--period", "1ps"], tmp_path)
         assert rc == 0
         assert seconds < 60 and peak_mb < 150
+
+    def test_noise_memory_flat_in_trials(self, tmp_path):
+        # verdicts are filled a block at a time: one byte per trial
+        rc, _, peak_mb = run_child(
+            ["feasibility", "--noise", "--pn", "0.25", "--k", "10",
+             "--trials", "2000000"], tmp_path)
+        assert rc == 0
+        assert peak_mb < 100
 
     @pytest.mark.parametrize("argv", [
         ["--period", "1e-320"], ["--L", "1e309"], ["--index", "1e308"],

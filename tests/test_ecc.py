@@ -13,6 +13,7 @@ from qfp import (Code, CodeFormatError, CodeKind, DimensionError, DomainError,
                  encode, hadamard_code, hamming_distance, identity_code,
                  justesen_nu, load_code, min_distance_bruteforce,
                  random_linear_code, repetition_code, save_code)
+from qfp.ecc import GENERATOR_MAX_ENTRIES
 
 
 def pairwise_min_distance(code):
@@ -105,6 +106,21 @@ class TestConstructors:
             random_linear_code(21, 8, 0)
         with pytest.raises(DomainError):
             repetition_code(0, 3)
+
+    @pytest.mark.parametrize("n", [4580, 10**20])
+    def test_identity_size_guard(self, n):
+        # refused before the n x n generator is allocated
+        assert n * n > GENERATOR_MAX_ENTRIES
+        with pytest.raises(ResourceLimitError):
+            identity_code(n)
+
+    def test_repetition_size_guard(self):
+        code = repetition_code(1, GENERATOR_MAX_ENTRIES)
+        assert code.generator.size == GENERATOR_MAX_ENTRIES
+        for n, r in ((1, GENERATOR_MAX_ENTRIES + 1), (2, 10**20),
+                     (10**10, 10**10)):
+            with pytest.raises(ResourceLimitError):
+                repetition_code(n, r)
 
 
 class TestRandomLinear:

@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from qfp import kernels
+from qfp import (ProtocolParams, hadamard_code, identity_code, kernels,
+                 run_batch)
 from qfp.ecc import random_linear_code
+from qfp.protocol import _port_distribution
 
 
 # The first outputs of splitmix64 from seed 0 are fixed by the algorithm
@@ -44,6 +46,15 @@ class TestStreams:
         seeds = kernels.derive_stream_seeds(master, 10)
         assert [int(s) for s in seeds] == _reference_splitmix(master, 10)
 
+    @pytest.mark.parametrize("start,count", [(0, 10), (1, 9), (7, 3),
+                                             (9, 1), (4, 0)])
+    def test_offset_seeds_slice_the_stream(self, start, count):
+        master = 2**64 - 5
+        full = kernels.derive_stream_seeds(master, 10)
+        got = kernels.derive_stream_seeds(master, count, start)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, full[start:start + count])
+
     def test_uniforms_in_unit_interval(self):
         u = kernels.uniforms_from_seed(7, 10_000)
         assert u.min() >= 0.0
@@ -57,8 +68,6 @@ def _sha256(array):
 
 
 def _hadamard_port_probs(x, y):
-    from qfp import hadamard_code
-    from qfp.protocol import _port_distribution
     return _port_distribution(hadamard_code(4), x, y)[0]
 
 
@@ -243,6 +252,54 @@ class TestNoiseVerdicts:
         verdicts = kernels.noise_verdicts(0.0, 1.0, 1.0, 0.0, 0.0, 100,
                                           5, 5_000, 13)
         assert not np.any(verdicts == 1)
+
+
+BLOCK_TRIALS = 40
+
+
+@pytest.fixture(params=[1, 7, BLOCK_TRIALS - 1, BLOCK_TRIALS])
+def trial_block(request, monkeypatch):
+    """Kernel block size: one trial, ragged blocks, a one-trial tail, and
+    all trials in one block."""
+    monkeypatch.setattr(kernels, "_TRIAL_BLOCK", request.param)
+    return request.param
+
+
+class TestBlockedTrials:
+    # every block derives its own seeds, so results match the unblocked
+    # references bit for bit whatever the block size
+
+    @pytest.mark.parametrize("probs", [[0.1, 0.4, 0.3, 0.2],
+                                       [0.5, 0.5, 0.0, 0.0]])
+    def test_click_counts(self, trial_block, probs):
+        probs = np.asarray(probs)
+        assert np.array_equal(
+            kernels.click_counts(probs, 6, BLOCK_TRIALS, 31),
+            _reference_click_counts(probs, 6, BLOCK_TRIALS, 31))
+
+    @pytest.mark.parametrize("slots,p", [(0, 0.0), (3, 0.3), (1000, 1e-4)])
+    def test_noise_verdicts(self, trial_block, slots, p):
+        args = (0.1, 0.8, 0.9, 0.25, p, slots, 4, BLOCK_TRIALS, 17)
+        got = kernels.noise_verdicts(*args)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, _reference_noise_verdicts(*args))
+
+    @pytest.mark.parametrize("k", [3, 255, 256])
+    @pytest.mark.parametrize("code,x,y", [
+        (hadamard_code(3), "000", "011"),  # pN = 1/2
+        (identity_code(1), "0", "1"),  # pN = 1: every trial counts k
+    ])
+    def test_run_batch_counts(self, trial_block, k, code, x, y):
+        # stored in the smallest type that holds k, equal to the int64
+        # kernel counts; the seeds are derived, not stored
+        batch = run_batch(ProtocolParams(code.n, code, k, 0.01), x, y,
+                          master_seed=5, trials=BLOCK_TRIALS)
+        probs = _port_distribution(code, x, y)[0]
+        assert batch.n_clicks.dtype == np.min_scalar_type(k)
+        assert np.array_equal(
+            batch.n_clicks, kernels.click_counts(probs, k, BLOCK_TRIALS, 5))
+        assert np.array_equal(batch.trial_seeds,
+                              kernels.derive_stream_seeds(5, BLOCK_TRIALS))
 
 
 def _reference_min_weight(gen):
