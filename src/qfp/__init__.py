@@ -19,9 +19,9 @@ from .physical import (FeasibleD, ImperfectionModel, NoiseRates, PhotonSplit,
                        photon_number_distribution)
 from .protocol import (BatchResult, ProtocolParams, RunResult, Verdict,
                        amplified_error_bound, batch_report_csv,
-                       batch_report_json, build_branch_state,
-                       exact_report_row, phase_protocol_average_error,
-                       phase_protocol_pn, repetitions_needed, run_batch,
-                       run_exact, run_sampled)
+                       batch_report_json, exact_report_row,
+                       phase_protocol_average_error, phase_protocol_pn,
+                       repetitions_needed, run_batch, run_exact,
+                       run_sampled)
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import kernels
 from .ecc import justesen_nu
 from .errors import DomainError, ResourceLimitError
-from .protocol import Verdict, repetitions_needed
+from .protocol import Verdict, check_target_error, repetitions_needed
 
 SEARCH_GUARD = 10**8
 
@@ -197,7 +197,11 @@ def breakeven_for_k(k: int) -> int:
 
 
 def full_bound_report(n: int, epsilon: float, mu: float = 2.0) -> BoundReport:
-    """Lower bounds plus the quantum side's total cost and break-even flag."""
+    """Lower bounds plus the quantum side's total cost and break-even flag.
+
+    ``epsilon`` is the quantum side's one-sided error target, in (0, 1/2).
+    """
+    check_target_error(epsilon)
     base = smp_equality_lower_bounds(n)
     k = repetitions_needed(justesen_nu(mu), epsilon)
     cost, floor = breakeven_sides(n, k)

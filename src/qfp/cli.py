@@ -367,30 +367,31 @@ def cmd_feasibility(args) -> int:
         _default(args, "k", 1)
         _default(args, "trials", 10_000)
         _default(args, "seed", 0)
+        # every point is computed before the first line is printed, so a
+        # rejected input (pn, k, trials, slot window, swept value) leaves
+        # stdout empty
+        values = (args.sweep_dark if args.sweep_dark is not None
+                  else [model.dark_count_prob])
+        points = [(value, physical.conditional_error_with_noise(
+                      replace(model, dark_count_prob=value), args.pn, args.k,
+                      args.trials, args.seed, slots=args.slots))
+                  for value in values]
         print(f"master_seed = {args.seed}")
         if args.sweep_dark is not None:
-            rows = []
-            for value in args.sweep_dark:
-                swept = replace(model, dark_count_prob=value)
-                rates = physical.conditional_error_with_noise(
-                    swept, args.pn, args.k, args.trials, args.seed,
-                    slots=args.slots)
-                rows.append(_rates_row("dark_count_prob", value, rates))
+            for value, rates in points:
                 print(f"dark={value!r}: false_eq={rates.false_equal_rate!r} "
                       f"false_neq={rates.false_notequal_rate!r} "
                       f"abort={rates.abort_rate!r}")
         else:
-            rates = physical.conditional_error_with_noise(
-                model, args.pn, args.k, args.trials, args.seed,
-                slots=args.slots)
-            rows = [_rates_row("dark_count_prob", model.dark_count_prob,
-                               rates)]
+            [(_, rates)] = points
             print(f"false_equal = {rates.false_equal_rate!r} "
                   f"(+- {rates.false_equal_stderr!r})")
             print(f"false_notequal = {rates.false_notequal_rate!r} "
                   f"(+- {rates.false_notequal_stderr!r})")
             print(f"abort = {rates.abort_rate!r} "
                   f"(+- {rates.abort_stderr!r})")
+        rows = [_rates_row("dark_count_prob", value, rates)
+                for value, rates in points]
         payload = {"command": "feasibility", "mode": "noise",
                    "master_seed": args.seed, "k": args.k,
                    "trials": args.trials, "pn": args.pn, "rows": rows}

@@ -53,7 +53,7 @@ class Code:
             raise DimensionError(
                 f"generator shape {gen.shape} != ({self.n}, {self.m})"
             )
-        if np.any(gen > 1):
+        if gen.size and gen.max() > 1:
             raise DomainError("generator entries must be bits")
         if not 0 <= self.t <= self.m:
             raise DomainError(f"declared distance {self.t} outside 0..{self.m}")
@@ -102,10 +102,10 @@ def encode(code: Code, x) -> np.ndarray:
         raise DimensionError(
             f"message length {xv.shape[0]} != code.n = {code.n}"
         )
-    picked = code.generator[xv.astype(bool)]
-    if picked.shape[0] == 0:
-        return np.zeros(code.m, dtype=np.uint8)
-    return np.bitwise_xor.reduce(picked, axis=0)
+    word = np.zeros(code.m, dtype=np.uint8)
+    for i in np.flatnonzero(xv):  # one m-byte word; no copy of the rows
+        word ^= code.generator[i]
+    return word
 
 
 def hamming_distance(a, b) -> int:
@@ -158,10 +158,9 @@ def hadamard_code(n: int) -> Code:
             f"hadamard_code length 2^{n} exceeds the desk-scale cap "
             f"(n <= {ORACLE_MAX_N})"
         )
-    z = np.arange(1 << n, dtype=np.uint32)
-    gen = np.empty((n, 1 << n), dtype=np.uint8)
-    for j in range(n):  # row by row: no (n, 2^n) uint32 temporaries
-        gen[j] = (z >> j) & 1
+    gen = np.zeros((n, 1 << n), dtype=np.uint8)
+    for j in range(n):  # bit j of z is 1 on every second run of 2^j
+        gen[j].reshape(-1, 2, 1 << j)[:, 1] = 1
     return Code(n, 1 << n, 1 << (n - 1), CodeKind.HADAMARD, gen)
 
 

@@ -226,7 +226,9 @@ def noise_verdicts(p_zero: float, p_one: float, p_survive: float,
 # GF(2) minimum nonzero codeword weight
 # ---------------------------------------------------------------------------
 
-_WEIGHT_BLOCK = 1 << 22  # message weights tallied per step
+# message weights tallied per step: one block's 64-bit ``hi ^ lo`` words
+# take 1 MiB
+_WEIGHT_BLOCK = 1 << 17
 
 
 def _pack_rows(generator: np.ndarray) -> np.ndarray:
@@ -252,8 +254,9 @@ def min_nonzero_weight(generator: np.ndarray) -> int:
     Meet in the middle: message ``hi * 2^h + lo`` (h = n // 2) encodes to
     the XOR of the span entries ``lo`` of the low h rows and ``hi`` of the
     high rows.  Weights are tallied one 64-column word at a time for a
-    block of ``hi`` values, so memory is flat in the code length, and only
-    the zero message (``hi = lo = 0``) is skipped.
+    block of ``hi`` values, in the smallest unsigned type that holds
+    m + 1, so memory is flat in the code length, and only the zero message
+    (``hi = lo = 0``) is skipped.
     """
     g = np.ascontiguousarray(generator, dtype=np.uint8)
     if g.ndim != 2:
@@ -265,9 +268,10 @@ def min_nonzero_weight(generator: np.ndarray) -> int:
     h = n // 2
     block = max(1, _WEIGHT_BLOCK >> h)
     best = m + 1
+    tally = np.min_scalar_type(best)
     for start in range(0, 1 << (n - h), block):
         stop = min(start + block, 1 << (n - h))
-        weights = np.zeros((stop - start, 1 << h), dtype=np.int64)
+        weights = np.zeros((stop - start, 1 << h), dtype=tally)
         for words in columns:
             hi = _xor_span(words[h:])[start:stop]
             weights += np.bitwise_count(hi[:, None] ^ _xor_span(words[:h]))

@@ -12,6 +12,12 @@ States are immutable values; every operation returns a new state, so they
 are safe to share across parallel Monte Carlo workers.  The picture is an
 explicit tag and every operation checks it, so misuse fails loudly rather
 than silently producing the wrong statistics.
+
+Only the small-alphabet phase protocols build a :class:`ModeState`.  The
+code protocols imprint phase 0 or pi on every mode, so a mode's port
+statistics depend only on its two phase bits; :func:`pi_phase_ports`
+evaluates the same interferometer once per bit pair instead of once per
+mode.
 """
 
 from __future__ import annotations
@@ -154,11 +160,15 @@ def recombine(state: ModeState) -> ModeState:
     exactly zero), which is what makes the equal-input case error-free.
     """
     _require_stage(state, Stage.BRANCH, "recombine")
-    a, b = state.amps[0], state.amps[1]
-    amps = np.empty_like(state.amps)
-    amps[0] = (a + b) * _INV_SQRT2
-    amps[1] = (a - b) * _INV_SQRT2
-    return ModeState(Stage.PORT, amps)
+    return ModeState(Stage.PORT, _beam_split(state.amps))
+
+
+def _beam_split(amps: np.ndarray) -> np.ndarray:
+    a, b = amps[0], amps[1]
+    out = np.empty_like(amps)
+    out[0] = (a + b) * _INV_SQRT2
+    out[1] = (a - b) * _INV_SQRT2
+    return out
 
 
 def port_probabilities(state: ModeState) -> PortProbabilities:
@@ -172,3 +182,36 @@ def port_probabilities(state: ModeState) -> PortProbabilities:
     probs.setflags(write=False)
     return PortProbabilities(float(probs[0].sum()), float(probs[1].sum()),
                              probs)
+
+
+# phase bits (branch A, branch B) of the four mode classes; class
+# c = 2 * bit_A + bit_B
+_CLASS_BITS = np.array([[0, 0, 1, 1], [0, 1, 0, 1]], dtype=np.uint8)
+
+
+def pi_phase_ports(counts: np.ndarray) -> np.ndarray:
+    """Port statistics of the four classes of a split photon whose modes
+    carry phase 0 or pi on each branch.
+
+    ``counts[c]`` of the m modes carry phase ``pi * (c >> 1)`` on branch A
+    and ``pi * (c & 1)`` on branch B.  Returns a read-only ``(2, 4)``
+    float64 array: row 0 the E port, row 1 the N port, column ``c`` the
+    probabilities of one mode of class ``c``.  Each column is computed with
+    the float operations of :func:`prepare_split`, :func:`apply_phases`,
+    :func:`recombine` and :func:`port_probabilities`, in their order, so it
+    equals those of the pipeline's ``per_mode`` columns bit for bit.  The
+    total probability, each column weighted by its count, must be 1.
+    """
+    m = int(np.sum(counts))
+    if m < 1:
+        raise DimensionError(f"mode count must be >= 1, got {m}")
+    amps = np.full((2, 4), 1.0 / np.sqrt(2.0 * m), dtype=np.complex128)
+    amps = amps * np.exp(1j * (np.pi * _CLASS_BITS))
+    probs = np.abs(_beam_split(amps)) ** 2
+    norm2 = float(probs.sum(axis=0) @ counts)
+    if abs(norm2 - 1.0) > NORM_TOL:
+        raise NormalizationError(
+            f"state norm^2 = {norm2!r} is not 1 within {NORM_TOL}"
+        )
+    probs.setflags(write=False)
+    return probs

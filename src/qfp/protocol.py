@@ -9,8 +9,14 @@ codeword distance t out of m, an unequal pair clicks N with probability
 d_H/m >= t/m per run, and k independent runs push the miss probability
 below (1 - t/m)^k.
 
+Mode i's port amplitudes depend only on the bit pair (e(x)_i, e(y)_i), so
+the code protocols evaluate the interferometer once per bit pair with
+:func:`qfp.modes.pi_phase_ports` and gather the result per mode; no
+``(2, m)`` complex state is built.
+
 Small-alphabet variants (one symbol, one mode pair, phase 2*pi*x/q) are
-included; they are the q-ary analogues of the same interferometer.
+included; they are the q-ary analogues of the same interferometer, and
+the only protocols here that build a :class:`qfp.modes.ModeState`.
 """
 
 from __future__ import annotations
@@ -24,9 +30,9 @@ from typing import Iterator
 import numpy as np
 
 from . import kernels, reports
-from .ecc import Code, as_bits, bits_to_hex, encode
+from .ecc import Code, bits_to_hex, encode
 from .errors import DimensionError, DomainError
-from .modes import (ModeLabel, ModeState, Stage, apply_phases,
+from .modes import (ModeLabel, Stage, apply_phases, pi_phase_ports,
                     port_probabilities, prepare_split, recombine)
 
 
@@ -111,25 +117,24 @@ class BatchResult:
                 for c in self.n_clicks]
 
 
-def build_branch_state(code: Code, x, y) -> ModeState:
-    """Split photon with both codewords imprinted as pi-phase flips."""
-    ex = encode(code, x)
-    ey = encode(code, y)
-    state = prepare_split(code.m)
-    state = apply_phases(state, "A", np.pi * ex)
-    state = apply_phases(state, "B", np.pi * ey)
-    return state
+def _port_table(code: Code, x, y) -> tuple[np.ndarray, np.ndarray]:
+    # port statistics of the four bit-pair classes, and each mode's class
+    # (e(x)_i << 1) | e(y)_i, one byte per mode
+    pair = (encode(code, x) << 1) | encode(code, y)
+    return pi_phase_ports(np.bincount(pair, minlength=4)), pair
 
 
 def run_exact(code: Code, x, y) -> float:
     """Exact N-port probability for one run: equals d_H(e(x), e(y)) / m."""
-    final = recombine(build_branch_state(code, x, y))
-    return port_probabilities(final).p_not_equal
+    table, pair = _port_table(code, x, y)
+    return float(table[1][pair].sum())
 
 
 def _port_distribution(code: Code, x, y) -> tuple[np.ndarray, float]:
-    stats = port_probabilities(recombine(build_branch_state(code, x, y)))
-    return stats.per_mode.ravel(), stats.p_not_equal
+    # the 2m per-mode probabilities, E port then N port, and pN
+    table, pair = _port_table(code, x, y)
+    per_mode = np.take(table, pair, axis=1)
+    return per_mode.ravel(), float(per_mode[1].sum())
 
 
 def _label_for_index(m: int, idx: int) -> ModeLabel:

@@ -200,6 +200,16 @@ class TestRunCommand:
         assert (tmp_path / "run.csv").read_bytes().count(b"\n") == 300_001
         assert peak_mb < 150
 
+    def test_exact_hadamard_20_memory(self, tmp_path):
+        # modes are evaluated per bit-pair class and gathered: one float
+        # per mode next to the 20 MiB generator, no (2, m) complex state
+        rc, _, peak_mb = run_child(
+            ["run", "--exact", "--code", "hadamard", "--n", "20",
+             "--x", "11001100110011001100", "--y", "10110110110110110110"],
+            tmp_path)
+        assert rc == 0
+        assert peak_mb < 100
+
     def test_exact_hadamard_18_memory(self, tmp_path):
         # port statistics stay two float arrays; no label per mode
         rc, _, peak_mb = run_child(
@@ -299,6 +309,15 @@ class TestClassicalCommand:
         assert "epsilon must lie in (0, 1/2)" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("epsilon", ["0.5", "0.6"])
+    def test_bounds_rejects_epsilon_outside_half(self, epsilon, capsys):
+        # the quantum cost in the bound report uses the same target
+        assert main(["classical", "--bounds", "--n", "1000",
+                     "--epsilon", epsilon]) == 1
+        captured = capsys.readouterr()
+        assert "epsilon must lie in (0, 1/2)" in captured.err
+        assert captured.out == ""
+
     def test_oversized_search_exits_2(self, capsys):
         assert main(["classical", "--q", "4", "--alice", "4",
                      "--bob", "4"]) == 2
@@ -361,7 +380,23 @@ class TestFeasibilityCommand:
         # an exception main does not catch (a traceback at the command
         # line) fails the call here
         assert main(["feasibility", *argv]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""  # rejected before any output
+
+    @pytest.mark.parametrize("argv", [
+        ["--noise", "--pn", "2"], ["--noise", "--pn", "0.5", "--k", "0"],
+        ["--noise", "--pn", "0.5", "--trials", "0"],
+        ["--noise", "--pn", "0.5", "--slots", "-1"],
+        ["--sweep-dark", "0,2", "--pn", "0.5", "--trials", "100"],
+    ], ids=" ".join)
+    def test_rejected_noise_run_prints_nothing(self, argv, capsys):
+        # every point, the last swept value too, is computed before the
+        # master seed line is printed
+        assert main(["feasibility", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
 
     def test_dark_sweep_rows(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -33,6 +33,28 @@ GOLDENS = {
          "1d04568e7b7b771e8662d8a17b4ee39e9f42c17a5b725af49ba39cad5af82032",
          "r.json":
          "e95737990228ca89b68293a3435f43485eb642a0e6d7cafd6542cdfd58808614"}),
+    # m = 2^18 and 2^20: pN = 1/2 prints as 0.4999999999999999, so these
+    # pin the rounding of the per-mode sum
+    "run_exact_hadamard_18": (
+        ["run", "--exact", "--code", "hadamard", "--n", "18",
+         "--x", "110011001100110011", "--y", "101101101101101101",
+         "--out", "r.csv", "--json", "r.json"],
+        {"stdout":
+         "4211156acd219cc70a85552fba750b4b35a4137e9c4f6d08e9bdddf919df48b4",
+         "r.csv":
+         "5f9c39dbfc8a3b8f9593d78f3c9af91ddc7e201c38da72acece5efd4631040bf",
+         "r.json":
+         "0ecfd5c3023473a9ef462db181bff2534d0dcb2fc6317184841b9ac6429e2d6f"}),
+    "run_exact_hadamard_20": (
+        ["run", "--exact", "--code", "hadamard", "--n", "20",
+         "--x", "11001100110011001100", "--y", "10110110110110110110",
+         "--out", "r.csv", "--json", "r.json"],
+        {"stdout":
+         "4211156acd219cc70a85552fba750b4b35a4137e9c4f6d08e9bdddf919df48b4",
+         "r.csv":
+         "4ce84ae36ba3faf385c5feff44225c8d60942118af14ba132fc7299a39ef5eee",
+         "r.json":
+         "2e73e60f8e602c1b367b4c3da76276d96bbfd157dabe783d490fdb15a5e9c2a2"}),
     "run_sampled": (
         ["run", "--code", "repetition", "--n", "3", "--r", "2",
          "--x", "101", "--y", "100", "--k", "4", "--trials", "25",

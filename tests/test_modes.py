@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qfp import (DimensionError, ModeState, NormalizationError, Stage,
                  StageMismatchError, apply_phases, port_probabilities,
                  prepare_split, recombine)
+from qfp.modes import pi_phase_ports
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -180,6 +181,24 @@ class TestPortProbabilities:
         rng = np.random.default_rng(seed)
         out = recombine(random_branch_state(rng, m))
         assert abs(np.vdot(out.amps, out.amps).real - 1.0) < 1e-12
+
+
+class TestPiPhasePorts:
+    def test_equal_bits_never_reach_n(self):
+        # classes 0 and 3 (both branches alike) cancel exactly on N; the
+        # others send the whole mode there
+        for m in (1, 5, 1 << 20):
+            table = pi_phase_ports([m, 0, 0, 0])
+            assert table[1, 0] == 0.0 and table[1, 3] == 0.0
+            assert table[0, 0] == pytest.approx(1 / m, rel=1e-12)
+            assert table[1, 1] == pytest.approx(1 / m, rel=1e-12)
+            assert table[1, 2] == pytest.approx(1 / m, rel=1e-12)
+            with pytest.raises(ValueError):
+                table[0, 0] = 0.0
+
+    def test_no_modes_rejected(self):
+        with pytest.raises(DimensionError):
+            pi_phase_ports([0, 0, 0, 0])
 
 
 class TestModeState:

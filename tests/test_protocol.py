@@ -16,7 +16,8 @@ from qfp import (DimensionError, DomainError, ProtocolParams, Verdict,
                  hamming_distance, identity_code, phase_protocol_average_error,
                  phase_protocol_pn, random_linear_code, repetition_code,
                  repetitions_needed, run_batch, run_exact, run_sampled)
-from qfp import protocol, reports
+from qfp import (apply_phases, port_probabilities, prepare_split, protocol,
+                 recombine, reports)
 from qfp.protocol import RUN_CSV_FIELDS
 
 
@@ -89,6 +90,63 @@ class TestRunExact:
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             run_exact(identity_code(3), "10", "110")
+
+
+def pipeline_port_statistics(code, x, y):
+    """Full-state oracle: split photon, both codewords imprinted as
+    pi-phase flips on their branches, recombined, port statistics."""
+    state = prepare_split(code.m)
+    state = apply_phases(state, "A", np.pi * encode(code, x))
+    state = apply_phases(state, "B", np.pi * encode(code, y))
+    return port_probabilities(recombine(state))
+
+
+def all_messages(n):
+    return [np.array([(v >> (n - 1 - j)) & 1 for j in range(n)],
+                     dtype=np.uint8) for v in range(1 << n)]
+
+
+SMALL_CODES = [family(n) for n in range(1, 5) for family in (
+    identity_code, lambda n: repetition_code(n, 3), hadamard_code,
+    lambda n: random_linear_code(n, 2 * n + 5, seed=n))]
+
+
+class TestClassEvaluation:
+    """Per-mode statistics gathered from the four bit-pair classes equal
+    the full (2, m) state pipeline bit for bit."""
+
+    @staticmethod
+    def assert_matches_pipeline(code, x, y):
+        stats = pipeline_port_statistics(code, x, y)
+        probs, pn = protocol._port_distribution(code, x, y)
+        assert np.array_equal(probs.view(np.uint64),
+                              stats.per_mode.ravel().view(np.uint64))
+        assert pn.hex() == stats.p_not_equal.hex()
+        assert run_exact(code, x, y).hex() == stats.p_not_equal.hex()
+
+    @pytest.mark.parametrize("code", SMALL_CODES,
+                             ids=lambda c: f"{c.kind.value}-{c.n}-{c.m}")
+    def test_every_pair_of_small_codes(self, code):
+        messages = all_messages(code.n)
+        for x in messages:
+            for y in messages:
+                self.assert_matches_pipeline(code, x, y)
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_random_pairs_of_hadamard(self, n):
+        rng = np.random.default_rng(n)
+        code = hadamard_code(n)
+        for _ in range(2 if n < 18 else 1):
+            self.assert_matches_pipeline(code, random_message(rng, n),
+                                         random_message(rng, n))
+
+    @pytest.mark.parametrize("n,m", [(5, 333), (8, 1001), (12, 4097)])
+    def test_random_pairs_of_random_codes_odd_m(self, n, m):
+        rng = np.random.default_rng(m)
+        code = random_linear_code(n, m, seed=m)
+        for _ in range(8):
+            self.assert_matches_pipeline(code, random_message(rng, n),
+                                         random_message(rng, n))
 
 
 class TestProtocolParams:
