@@ -232,44 +232,63 @@ def load_code(src) -> Code:
     own = isinstance(src, (str, bytes)) or hasattr(src, "__fspath__")
     fh = open(src, "r", encoding="utf-8") if own else src
     try:
-        lines = [ln.rstrip("\n") for ln in fh]
+        n, m, t, kind, gen = _read_generator(fh)
     finally:
         if own:
             fh.close()
-    lines = [ln for ln in lines if ln.strip()]
-    if not lines:
-        raise CodeFormatError("empty code file")
-    parts = lines[0].split()
-    if len(parts) != 4:
-        raise CodeFormatError(f"bad header {lines[0]!r}; expected 'n m t kind'")
-    try:
-        n, m, t = int(parts[0]), int(parts[1]), int(parts[2])
-        kind = CodeKind(parts[3])
-    except ValueError as exc:
-        raise CodeFormatError(f"bad header {lines[0]!r}: {exc}") from exc
-    if n < 1 or m < 1:
-        raise CodeFormatError(f"bad header {lines[0]!r}: n and m must be >= 1")
-    rows = lines[1:]
-    if len(rows) != n:
-        raise CodeFormatError(f"expected {n} generator rows, got {len(rows)}")
-    # every row is checked before any allocation, so the generator is no
-    # larger than the file whatever the header declares
-    for i, row in enumerate(rows):
-        if len(row) != m or row.strip("01"):
-            raise CodeFormatError(f"generator row {i + 1} is not {m} bits")
-    gen = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
-    del lines, rows  # the text is as large as the generator
-    gen = (gen - ord("0")).reshape(n, m)
     if kind is CodeKind.RANDOM_LINEAR:
         return Code(n, m, t, kind, gen)
     canonical = _canonical_code(kind, n, m)
+    # compared row by row: a whole-matrix comparison would allocate a
+    # third generator-sized array
     if (canonical is None or canonical.t != t
-            or not np.array_equal(canonical.generator, gen)):
+            or not all(map(np.array_equal, canonical.generator, gen))):
         raise CodeFormatError(
             f"not the {kind.value} code with n={n}, m={m}: the generator "
             f"or the distance t={t} differs from the construction"
         )
     return canonical
+
+
+def _read_generator(fh) -> tuple[int, int, int, CodeKind, np.ndarray]:
+    # header and (n, m) bit matrix of a code file; each row is checked as
+    # it is read and only its bytes are kept, so the text is never held
+    # next to the generator, which is no larger than the file whatever the
+    # header declares
+    lines = (ln.rstrip("\n") for ln in fh)
+    header = next((ln for ln in lines if ln.strip()), None)
+    if header is None:
+        raise CodeFormatError("empty code file")
+    parts = header.split()
+    if len(parts) != 4:
+        raise CodeFormatError(f"bad header {header!r}; expected 'n m t kind'")
+    try:
+        n, m, t = int(parts[0]), int(parts[1]), int(parts[2])
+        kind = CodeKind(parts[3])
+    except ValueError as exc:
+        raise CodeFormatError(f"bad header {header!r}: {exc}") from exc
+    if n < 1 or m < 1:
+        raise CodeFormatError(f"bad header {header!r}: n and m must be >= 1")
+    buf = bytearray()
+    rows, bad_row = 0, None
+    for row in lines:
+        if not row.strip():
+            continue
+        rows += 1
+        if bad_row is not None or rows > n:
+            continue  # past a bad row or the last one, only counted
+        if len(row) != m or row.strip("01"):
+            bad_row = rows
+        else:
+            buf += row.encode("ascii")
+    # the row count is reported before a malformed row
+    if rows != n:
+        raise CodeFormatError(f"expected {n} generator rows, got {rows}")
+    if bad_row is not None:
+        raise CodeFormatError(f"generator row {bad_row} is not {m} bits")
+    gen = np.frombuffer(buf, dtype=np.uint8)
+    gen -= ord("0")
+    return n, m, t, kind, gen.reshape(n, m)
 
 
 def _canonical_code(kind: CodeKind, n: int, m: int) -> Code | None:

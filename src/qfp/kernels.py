@@ -17,6 +17,16 @@ mix (xorshift 30, multiply, xorshift 27, multiply, xorshift 31) and
 ``GOLDEN = 0x9E3779B97F4A7C15``.  Uniform deviates take the top 53 bits:
 ``u = (output >> 11) * 2**-53``, so ``u`` lies in ``[0, 1)``.
 
+The samplers never form ``u``.  For a float threshold ``c``, ``u >= c``
+holds exactly when ``output >= cut(c)`` with ``cut(c) = ceil(c * 2**53)
+<< 11``: every draw passes when ``c <= 0`` and none does when
+``ceil(c * 2**53) >= 2**53`` (any ``c >= 1``, ``inf`` included).  So each
+draw is one unsigned comparison of the raw output against a cut computed
+once, and ``u < c`` is its negation.  A draw whose cuts are all constant
+decides nothing and is not computed; since output ``j`` of a substream is
+mixed from ``seed + j * GOLDEN``, skipping it leaves every later draw
+unchanged.
+
 Batch routines give trial ``i`` (0-based) a private substream whose seed is
 output ``i + 1`` of a master stream.  A single trial is therefore
 replayable from its recorded substream seed alone, and trials may run in
@@ -34,12 +44,17 @@ memory beyond the result array is O(block), whatever the trial count.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .errors import ResourceLimitError
 
 _MASK64 = (1 << 64) - 1
 _TO_U01 = 2.0**-53
+_GOLDEN_INT = 0x9E3779B97F4A7C15
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_GOLDEN = np.uint64(_GOLDEN_INT)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _SH30 = np.uint64(30)
@@ -47,12 +62,38 @@ _SH27 = np.uint64(27)
 _SH31 = np.uint64(31)
 _SH11 = np.uint64(11)
 
-
 # ---------------------------------------------------------------------------
 # splitmix64 streams
 # ---------------------------------------------------------------------------
 
 _TRIAL_BLOCK = 1 << 14  # trials sampled per kernel block
+# most k-run protocols one batch may sample, a started block of trials
+# counted as full (its numpy calls cost about as much): 2^30 noisy runs
+# take about half a minute
+RUN_BUDGET = 1 << 30
+
+
+def check_run_budget(k: int, trials: int) -> None:
+    """Refuse ``trials`` protocols of ``k`` runs past :data:`RUN_BUDGET`."""
+    blocks = -(-trials // _TRIAL_BLOCK)
+    if k * blocks * _TRIAL_BLOCK > RUN_BUDGET:
+        raise ResourceLimitError(
+            f"{trials} trials x {k} runs exceed the sampling budget of "
+            f"{RUN_BUDGET} runs (in blocks of {_TRIAL_BLOCK} trials)"
+        )
+
+
+def _mix(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    # splitmix64 finalize of every state in ``z``, in place
+    np.right_shift(z, _SH30, out=scratch)
+    z ^= scratch
+    z *= _MIX1
+    np.right_shift(z, _SH27, out=scratch)
+    z ^= scratch
+    z *= _MIX2
+    np.right_shift(z, _SH31, out=scratch)
+    z ^= scratch
+    return z
 
 
 def splitmix64_stream(seed: int, count: int, start: int = 0) -> np.ndarray:
@@ -60,10 +101,8 @@ def splitmix64_stream(seed: int, count: int, start: int = 0) -> np.ndarray:
     seeded with ``seed``."""
     s0 = np.uint64(int(seed) & _MASK64)
     steps = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    s = s0 + steps * _GOLDEN
-    z = (s ^ (s >> _SH30)) * _MIX1
-    z = (z ^ (z >> _SH27)) * _MIX2
-    return z ^ (z >> _SH31)
+    z = s0 + steps * _GOLDEN
+    return _mix(z, steps)
 
 
 def derive_stream_seeds(master_seed: int, trials: int,
@@ -85,13 +124,47 @@ def uniforms_from_seed(seed: int, count: int) -> np.ndarray:
     return (splitmix64_stream(seed, count) >> _SH11) * _TO_U01
 
 
-def _advance_u01(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # one vectorized stream step for every state, returning uniforms
-    states = states + _GOLDEN
-    z = (states ^ (states >> _SH30)) * _MIX1
-    z = (z ^ (z >> _SH27)) * _MIX2
-    z = z ^ (z >> _SH31)
-    return states, (z >> _SH11) * _TO_U01
+_ALWAYS, _NEVER = 0, 1 << 64  # cuts every output passes / none reaches
+
+
+def _u01_cut(c: float) -> int:
+    """The output cut of threshold ``c``: ``(z >> 11) * 2**-53 >= c``
+    exactly when ``z >= _u01_cut(c)``, for every 64-bit output ``z``.
+
+    ``_ALWAYS`` (0) when every output passes, ``_NEVER`` (2^64, past every
+    output) when none does.
+    """
+    if not c < 1.0:  # u < 1 <= c, inf included
+        return _NEVER
+    if c <= 0.0:
+        return _ALWAYS
+    # c * 2**53 is exact, and ceil of it is below 2**53 since c < 1
+    return math.ceil(c * 2.0**53) << 11
+
+
+class _Draws:
+    """Output ``j`` of every substream of one block, compared with cuts.
+
+    Output ``j`` is mixed from ``seed + j * GOLDEN`` into one reused
+    buffer; a draw whose cuts are all constant is never mixed.
+    """
+
+    def __init__(self, seeds: np.ndarray):
+        self.seeds = seeds
+        self.z = np.empty_like(seeds)
+        self.scratch = np.empty_like(seeds)
+
+    def at_least(self, j: int, cuts: list[int]) -> list:
+        # per cut: output j >= cut, a bool array, or a numpy bool scalar
+        # when the cut is constant
+        fixed = [c in (_ALWAYS, _NEVER) for c in cuts]
+        if not all(fixed):
+            # j * GOLDEN as a Python int: a uint64 product would overflow
+            np.add(self.seeds, np.uint64(j * _GOLDEN_INT & _MASK64),
+                   out=self.z)
+            _mix(self.z, self.scratch)
+        return [np.bool_(c == _ALWAYS) if const else self.z >= np.uint64(c)
+                for c, const in zip(cuts, fixed)]
 
 
 # ---------------------------------------------------------------------------
@@ -117,25 +190,25 @@ def click_counts(probs: np.ndarray, k: int, trials: int, master_seed: int,
     N click.  Each trial draws ``k`` independent outcomes by inverse CDF,
     as :func:`sample_indices` does, but only the port is kept: the first
     cumulative value above ``u`` lies at index >= m iff
-    ``u >= cum[m - 1]``, one comparison per draw.  A ``u`` past the table
-    takes the last positive outcome, so with no N-port mass no draw clicks
-    N.  Outcomes with exactly zero probability are structurally
-    unreachable, which keeps one-sided error exact.  Counts are stored in
-    ``dtype``, which must hold ``k``; each block is written straight into
-    it.
+    ``u >= cum[m - 1]``, one comparison per draw of the raw output with
+    that threshold's cut.  A ``u`` past the table takes the last positive
+    outcome, so with no N-port mass no draw clicks N.  Outcomes with
+    exactly zero probability are structurally unreachable, which keeps
+    one-sided error exact.  Counts are stored in ``dtype``, which must
+    hold ``k``; each block is written straight into it.
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim == 1 and probs.shape[0] % 2:
         raise ValueError("per-mode vector must hold 2m port probabilities")
     cum, last_pos = _prepare_distribution(probs)
     m = probs.shape[0] // 2
-    threshold = cum[m - 1] if last_pos >= m else np.inf
+    cut = _u01_cut(float(cum[m - 1]) if last_pos >= m else math.inf)
     counts = np.zeros(trials, dtype=dtype)
-    for start, states in _trial_blocks(master_seed, trials):
-        block = counts[start:start + states.shape[0]]
-        for _ in range(int(k)):
-            states, u = _advance_u01(states)
-            block += u >= threshold
+    for start, seeds in _trial_blocks(master_seed, trials):
+        block = counts[start:start + seeds.shape[0]]
+        draws = _Draws(seeds)
+        for j in range(1, int(k) + 1):
+            block += draws.at_least(j, [cut])[0]
     return counts
 
 
@@ -185,40 +258,38 @@ def noise_verdicts(p_zero: float, p_one: float, p_survive: float,
     trial: 0 = Equal (kept runs, none N), 1 = NotEqual (some kept run N),
     2 = abort (no run kept).
     """
-    photon_cdf = np.array([p_zero, p_zero + p_one], dtype=np.float64)
-    # a verdict only tells 0, 1 and >= 2 dark counts apart, so the table
-    # stops at P(X <= 1) and counts are capped at 2
+    photon = [_u01_cut(p_zero), _u01_cut(p_zero + p_one)]
+    survive = [_u01_cut(float(p_survive))]
+    port = [_u01_cut(float(p_click_n))]
+    # a verdict only tells 0, 1 and >= 2 dark counts apart, so counts are
+    # capped at 2: the count is the number of the table's first
+    # min(slots, 2) entries that the draw reaches
     dark_slots = int(dark_slots)
     dark_cdf = _dark_count_cdf(dark_slots, float(dark_prob))
-    p_survive, p_click_n = float(p_survive), float(p_click_n)
-    dmax = min(dark_slots, 2)
+    dark = [_u01_cut(c) for c in dark_cdf[:min(dark_slots, 2)]]
     verdicts = np.empty(trials, dtype=np.uint8)
-    for start, states in _trial_blocks(master_seed, trials):
-        survived = np.zeros(states.shape[0], dtype=np.int64)
-        any_n = np.zeros(states.shape[0], dtype=np.bool_)
-        for _ in range(int(k)):
+    for start, seeds in _trial_blocks(master_seed, trials):
+        draws = _Draws(seeds)
+        kept = np.zeros(seeds.shape[0], dtype=np.bool_)
+        any_n = np.zeros(seeds.shape[0], dtype=np.bool_)
+        for run in range(int(k)):
             # five draws per run in this order; reordering changes every
             # verdict
-            states, u_photon = _advance_u01(states)
-            states, u_survive = _advance_u01(states)
-            states, u_port = _advance_u01(states)
-            states, u_dark_e = _advance_u01(states)
-            states, u_dark_n = _advance_u01(states)
-            multi = u_photon >= photon_cdf[1]
-            n_e = np.minimum(np.searchsorted(dark_cdf, u_dark_e,
-                                             side="right"), dmax)
-            n_n = np.minimum(np.searchsorted(dark_cdf, u_dark_n,
-                                             side="right"), dmax)
-            signal = ((u_photon >= photon_cdf[0]) & (u_survive < p_survive)
-                      & ~multi)
-            signal_n = signal & (u_port < p_click_n)
-            tot_e = n_e + (signal & ~signal_n)
-            tot_n = n_n + signal_n
+            j = 5 * run
+            emitted, multi = draws.at_least(j + 1, photon)
+            [lost] = draws.at_least(j + 2, survive)
+            [port_e] = draws.at_least(j + 3, port)
+            signal = emitted & ~multi & ~lost
+            tot_e = (signal & port_e).astype(np.uint8)
+            tot_n = (signal & ~port_e).astype(np.uint8)
+            for dark_e in draws.at_least(j + 4, dark):
+                tot_e = tot_e + dark_e
+            for dark_n in draws.at_least(j + 5, dark):
+                tot_n = tot_n + dark_n
             valid = ~multi & (tot_e + tot_n == 1)
-            survived += valid
+            kept |= valid
             any_n |= valid & (tot_n == 1)
-        verdicts[start:start + states.shape[0]] = np.where(
-            survived == 0, 2, np.where(any_n, 1, 0))
+        verdicts[start:start + seeds.shape[0]] = np.where(kept, any_n, 2)
     return verdicts
 
 

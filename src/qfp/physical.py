@@ -145,12 +145,14 @@ def conditional_error_with_noise(model: ImperfectionModel, p_not_equal: float,
     ``dark_count_prob`` across the slot window.  Runs keep only clean
     single detections (multi-photon pulses are dropped, not interfered).
     ``slots`` overrides the dark-count window, which otherwise is the
-    fiber slot count implied by the model geometry.
+    fiber slot count implied by the model geometry.  More than
+    ``kernels.RUN_BUDGET`` runs in all raise ``ResourceLimitError``.
     """
     if not 0.0 <= p_not_equal <= 1.0:
         raise DomainError(f"p_not_equal must lie in [0, 1], got {p_not_equal!r}")
     if k < 1 or trials < 1:
         raise DomainError("k and trials must be >= 1")
+    kernels.check_run_budget(k, trials)
     if model.deterministic_source:
         p0, p1 = 0.0, 1.0
     else:

@@ -164,10 +164,12 @@ def run_batch(params: ProtocolParams, x, y, master_seed: int,
     Trial i uses the substream seeded with ``trial_seeds[i]``;
     ``run_sampled`` with that seed reproduces the trial exactly.  Only the
     N-click counts are stored, in the smallest unsigned type that holds k;
-    the seeds are derived again whenever they are read.
+    the seeds are derived again whenever they are read.  More than
+    ``kernels.RUN_BUDGET`` runs in all raise ``ResourceLimitError``.
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    kernels.check_run_budget(params.k, trials)
     probs, pn = _port_distribution(params.code, x, y)
     counts = kernels.click_counts(probs, params.k, trials, master_seed,
                                   dtype=np.min_scalar_type(params.k))
@@ -280,21 +282,29 @@ def _stream_rows(text: str, encode, batch: BatchResult) -> Iterator[str]:
     # renders one string value in its format.  Both rows agree except at
     # the slots, so splitting at the rendered slot gives the text before
     # the first row, the pieces inside a row, the joint between rows and
-    # the text after the last row.  Only the per-trial values are then
-    # rendered, one block of trials per chunk.
-    head, *inner, joint, _, _, tail = text.split(encode(_SLOT))
-    row = "{}".join(["", *(p.replace("{", "{{").replace("}", "}}")
-                           for p in inner), ""])
-    equal = encode(Verdict.EQUAL.value)
-    not_equal = encode(Verdict.NOT_EQUAL.value)
+    # the text after the last row.  The verdict and the click count both
+    # follow from the count, so a row is its count's prefix and its seed;
+    # prefixes are rendered once per count that occurs, joined to the
+    # seeds one block of trials per chunk.
+    head, verdict_to_count, count_to_seed, joint, _, _, tail = text.split(
+        encode(_SLOT))
+    verdict = {False: encode(Verdict.EQUAL.value),
+               True: encode(Verdict.NOT_EQUAL.value)}
+    glue = {}  # count -> joint + that count's row prefix
     yield head
     for start in range(0, batch.trials, _ROW_BLOCK):
         clicks = batch.n_clicks[start:start + _ROW_BLOCK]
-        verdicts = np.where(clicks > 0, not_equal, equal).tolist()
-        seeds = kernels.derive_stream_seeds(batch.master_seed, clicks.size,
-                                            start).tolist()
-        rows = joint.join(map(row.format, verdicts, clicks.tolist(), seeds))
-        yield rows if start == 0 else joint + rows
+        for count in np.unique(clicks).tolist():
+            if count not in glue:
+                glue[count] = (f"{joint}{verdict[count > 0]}"
+                               f"{verdict_to_count}{count}{count_to_seed}")
+        pieces = [joint] * (2 * clicks.size)
+        pieces[::2] = map(glue.__getitem__, clicks.tolist())
+        pieces[1::2] = map(str, kernels.derive_stream_seeds(
+            batch.master_seed, clicks.size, start).tolist())
+        if start == 0:  # no joint before the first row
+            pieces[0] = pieces[0][len(joint):]
+        yield "".join(pieces)
     yield tail
 
 

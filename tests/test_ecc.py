@@ -239,6 +239,18 @@ class TestCodeFiles:
         with pytest.raises(CodeFormatError, match=message):
             load_code(io.StringIO(text))
 
+    @pytest.mark.parametrize("text, message", [
+        ("2 3 1 Identity\n102\n", "expected 2 generator rows, got 1"),
+        ("1 2 1 Identity\n10\n\n0x\n", "expected 1 generator rows, got 2"),
+        ("3 2 1 Identity\n10\n1x\n\n01\n", "row 2 is not 2 bits"),
+        ("2 2 1 Identity\n10\n011\n", "row 2 is not 2 bits"),
+    ])
+    def test_row_count_reported_before_bad_row(self, text, message):
+        # rows are checked as they are read, but a wrong row count is
+        # still the error reported, whatever the rows hold
+        with pytest.raises(CodeFormatError, match=message):
+            load_code(io.StringIO(text))
+
     @pytest.mark.parametrize("text", [
         "2 4 2 Hadamard\n1111\n0000\n",
         "2 4 1 Hadamard\n0101\n0011\n",

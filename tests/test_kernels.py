@@ -6,9 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qfp import (ProtocolParams, hadamard_code, identity_code, kernels,
-                 run_batch)
+from qfp import (ProtocolParams, ResourceLimitError, hadamard_code,
+                 identity_code, kernels, run_batch)
 from qfp.ecc import random_linear_code
 from qfp.protocol import _port_distribution
 
@@ -61,6 +63,64 @@ class TestStreams:
         assert u.max() < 1.0
         # top-53-bit construction: mean near 1/2
         assert abs(u.mean() - 0.5) < 0.02
+
+
+def _multiples_of_ulp53(draw):
+    # i * 2^-53, or one float step either side of it
+    c = draw(st.integers(0, 2**53)) * 2.0**-53
+    step = draw(st.sampled_from([None, -math.inf, math.inf]))
+    return c if step is None else math.nextafter(c, step)
+
+
+THRESHOLDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.0**-1074 * 3, 2.0**-1022,
+                     1.0 - 2.0**-53, 1.0, math.nextafter(1.0, 2.0), 2.0,
+                     1e300, math.inf, -1.0, -math.inf]),
+    st.floats(0.0, 2.0**-1022),  # subnormals
+    st.composite(_multiples_of_ulp53)(),
+    st.floats(-1.0, 3.0),
+)
+
+
+class TestCuts:
+    @settings(max_examples=500, deadline=None)
+    @given(c=THRESHOLDS)
+    @example(c=0.25)
+    def test_cut_equals_float_comparison(self, c):
+        cut = kernels._u01_cut(c)
+        assert 0 <= cut <= 2**64
+        for z in (cut - 1, cut, cut + 2**11 - 1, 0, 2**64 - 1):
+            if 0 <= z < 2**64:
+                assert (z >= cut) == (((z >> 11) * 2.0**-53) >= c), z
+
+    def test_constant_cuts(self):
+        assert kernels._u01_cut(0.0) == kernels._ALWAYS == 0
+        assert kernels._u01_cut(-2.0) == kernels._ALWAYS
+        for c in (1.0, 2.0, math.inf):
+            assert kernels._u01_cut(c) == kernels._NEVER == 2**64
+        assert kernels._u01_cut(1.0 - 2.0**-53) == (2**53 - 1) << 11
+
+
+class TestRunBudget:
+    def test_budget_edge(self):
+        full = kernels.RUN_BUDGET // kernels._TRIAL_BLOCK
+        kernels.check_run_budget(1, kernels.RUN_BUDGET)
+        kernels.check_run_budget(full, kernels._TRIAL_BLOCK)
+        with pytest.raises(ResourceLimitError, match="sampling budget"):
+            kernels.check_run_budget(1, kernels.RUN_BUDGET + 1)
+        with pytest.raises(ResourceLimitError, match="sampling budget"):
+            kernels.check_run_budget(full + 1, kernels._TRIAL_BLOCK)
+
+    def test_started_block_counts_as_full(self):
+        # one trial costs a block's numpy calls per draw, so a huge k is
+        # refused long before k x trials reaches the budget
+        full = kernels.RUN_BUDGET // kernels._TRIAL_BLOCK
+        kernels.check_run_budget(full, 1)
+        with pytest.raises(ResourceLimitError):
+            kernels.check_run_budget(full + 1, 1)
+
+    def test_largest_suite_run_admitted(self):
+        kernels.check_run_budget(10, 10_000_000)
 
 
 def _sha256(array):
@@ -193,6 +253,16 @@ class TestDarkCountTable:
             kernels._dark_count_cdf(5, 1.0)
 
 
+def _advance_u01(states):
+    """One stream step for every state, returning uniforms: the float
+    form of the draws that the samplers compare as raw outputs."""
+    states = states + kernels._GOLDEN
+    z = (states ^ (states >> kernels._SH30)) * kernels._MIX1
+    z = (z ^ (z >> kernels._SH27)) * kernels._MIX2
+    z = z ^ (z >> kernels._SH31)
+    return states, (z >> np.uint64(11)) * 2.0**-53
+
+
 def _reference_noise_verdicts(p_zero, p_one, p_survive, p_click_n,
                               dark_prob, dark_slots, k, trials, seed):
     """noise_verdicts drawing dark counts from the full binomial table."""
@@ -201,11 +271,11 @@ def _reference_noise_verdicts(p_zero, p_one, p_survive, p_click_n,
     survived = np.zeros(trials, dtype=np.int64)
     any_n = np.zeros(trials, dtype=bool)
     for _ in range(k):
-        states, u_photon = kernels._advance_u01(states)
-        states, u_survive = kernels._advance_u01(states)
-        states, u_port = kernels._advance_u01(states)
-        states, u_dark_e = kernels._advance_u01(states)
-        states, u_dark_n = kernels._advance_u01(states)
+        states, u_photon = _advance_u01(states)
+        states, u_survive = _advance_u01(states)
+        states, u_port = _advance_u01(states)
+        states, u_dark_e = _advance_u01(states)
+        states, u_dark_n = _advance_u01(states)
         multi = u_photon >= p_zero + p_one
         n_e = np.minimum(np.searchsorted(cdf, u_dark_e, side="right"),
                          dark_slots)
@@ -283,6 +353,31 @@ class TestBlockedTrials:
         got = kernels.noise_verdicts(*args)
         assert got.dtype == np.uint8
         assert np.array_equal(got, _reference_noise_verdicts(*args))
+
+    # every constant cut: no vacuum or no signal photon, certain loss or
+    # survival, a certain port, no dark counts or no dark window
+    @pytest.mark.parametrize("p_zero,p_one", [(0.0, 1.0), (1.0, 0.0),
+                                              (0.3, 0.7), (0.0, 0.6),
+                                              (0.2, 0.5)])
+    def test_noise_verdicts_constant_cuts(self, trial_block, p_zero, p_one):
+        for p_survive in (0.0, 1.0, 0.7):
+            for p_click_n in (0.0, 1.0, 0.4):
+                for dark_prob in (0.0, 0.3):
+                    for slots in (0, 1, 2, 5):
+                        args = (p_zero, p_one, p_survive, p_click_n,
+                                dark_prob, slots, 3, BLOCK_TRIALS, 23)
+                        assert np.array_equal(
+                            kernels.noise_verdicts(*args),
+                            _reference_noise_verdicts(*args)), args
+
+    @pytest.mark.parametrize("probs", [[0.0, 0.0, 0.5, 0.5],
+                                       [0.0, 0.0, 1.0, 0.0]])
+    def test_click_counts_every_draw_clicks(self, trial_block, probs):
+        probs = np.asarray(probs)
+        got = kernels.click_counts(probs, 6, BLOCK_TRIALS, 31)
+        assert np.all(got == 6)
+        assert np.array_equal(
+            got, _reference_click_counts(probs, 6, BLOCK_TRIALS, 31))
 
     @pytest.mark.parametrize("k", [3, 255, 256])
     @pytest.mark.parametrize("code,x,y", [

@@ -4,6 +4,7 @@ and the small-alphabet phase protocols."""
 import csv
 import io
 import math
+import time
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from qfp import (DimensionError, DomainError, ProtocolParams, Verdict,
                  repetitions_needed, run_batch, run_exact, run_sampled)
 from qfp import (apply_phases, port_probabilities, prepare_split, protocol,
                  recombine, reports)
-from qfp.protocol import RUN_CSV_FIELDS
+from qfp.protocol import RUN_CSV_FIELDS, BatchResult
 
 
 def random_message(rng, n):
@@ -402,3 +403,23 @@ class TestStreamedReports:
             reports.csv_text(RUN_CSV_FIELDS, rows))
         assert "".join(batch_report_json(params, x, y, batch, payload)) == (
             reports.json_text({**payload, "rows": rows}))
+
+    @pytest.mark.parametrize("block", [2, 1 << 12])
+    def test_huge_k_renders_only_counts_that_occur(self, monkeypatch, block):
+        # counts up to k = 2^40 in a batch built directly: the per-count
+        # row prefixes cover the counts present, never 0..k
+        monkeypatch.setattr(protocol, "_ROW_BLOCK", block)
+        k = 2**40
+        code = hadamard_code(4)
+        params = ProtocolParams(code.n, code, k, 0.01)
+        clicks = np.array([0, k, k - 1, 5, 0, k, 1, k], dtype=np.uint64)
+        batch = BatchResult(0.5, k, 2**64 - 3, clicks)
+        rows = _dict_rows(params, "0000", "0110", batch)
+        payload = {"command": "run", "mode": "sampled", "k": k}
+        start = time.perf_counter()
+        csv_text = "".join(batch_report_csv(params, "0000", "0110", batch))
+        json_text = "".join(batch_report_json(params, "0000", "0110", batch,
+                                              payload))
+        assert time.perf_counter() - start < 1.0
+        assert csv_text == reports.csv_text(RUN_CSV_FIELDS, rows)
+        assert json_text == reports.json_text({**payload, "rows": rows})
