@@ -83,6 +83,26 @@ GOLDENS = {
          "6cf50b46bd9373e67c9d3b8d44e3e3632472d32ab9c6d270e919a5a0c6aba51e",
          "p.json":
          "7ec206669f5040a0540450b7c2d308270a14dc9af2d44b0ef1e9d4a4a8c0b4c3"}),
+    # 1332 unequal pairs: the average tells a sequential sum from a
+    # pairwise one
+    "run_phase_all_pairs_37": (
+        ["run", "--phase-protocol", "--q", "37", "--all-pairs",
+         "--out", "p.csv", "--json", "p.json"],
+        {"stdout":
+         "7060e126869b8d7c781520dc461ad89d83af0012db897a8e92cfbefe80cf1289",
+         "p.csv":
+         "7c4448566d7c7d58d966e6888a1eec9c8283ff668414dc8a34877eadf9d709cd",
+         "p.json":
+         "170e079e5507abe5e357e4e87e59ef768f283add8d035a21f2604c647f8deb50"}),
+    "run_phase_pair_300": (
+        ["run", "--phase-protocol", "--q", "300", "--phase-x", "7",
+         "--phase-y", "250", "--out", "p.csv", "--json", "p.json"],
+        {"stdout":
+         "9427783c8248d7161761f57066122272a6e6c9847851dc9cea635ca5e6e68b62",
+         "p.csv":
+         "38f1c2518260878fbf616a4e5cf2adb5cac3dce5885a4e68e4d74ada13f6549d",
+         "p.json":
+         "ff10ef8853f76abf2df385de69d577464026d9b924ac504b1f6d53b3fe3e4c81"}),
     "classical_smp": (
         ["classical", "--q", "3", "--alice", "3", "--bob", "2",
          "--out", "c.csv", "--json", "c.json"],
