@@ -10,10 +10,7 @@ from .ecc import (Code, CodeKind, as_bits, bits_to_hex, bits_to_string,
                   random_linear_code, repetition_code, save_code)
 from .errors import (CodeFormatError, ConfigError, DimensionError,
                      DomainError, NormalizationError, QfpError,
-                     ResourceLimitError, StageMismatchError)
-from .modes import (ModeLabel, ModeState, PortProbabilities, Stage,
-                    apply_phases, port_probabilities, prepare_split,
-                    recombine)
+                     ResourceLimitError)
 from .physical import (FeasibleD, ImperfectionModel, NoiseRates, PhotonSplit,
                        conditional_error_with_noise, feasible_d,
                        photon_number_distribution)

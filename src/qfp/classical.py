@@ -14,6 +14,7 @@ per party undercut the classical bound.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -141,8 +142,9 @@ def smp_equality_lower_bounds(n: int) -> BoundReport:
     max(a, b) >= sqrt(n)/20; one shared random bit can save at most a
     factor 2, leaving sqrt(n)/40 per party.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    if not 1 <= n <= sys.float_info.max:
+        raise DomainError(f"n must lie in 1..{sys.float_info.max:.6g} "
+                          f"(the float range), got {n}")
     root = math.sqrt(n)
     return BoundReport(n=n, ab_lower=n / 400.0, max_lower=root / 20.0,
                        shared_bit_lower=root / 40.0)

@@ -187,22 +187,26 @@ def _emit(args, payload, fieldnames=None, rows=()) -> None:
     if args.out:
         _write(args.out, reports.csv_text(fieldnames, rows))
     if args.json:
-        _write(args.json, reports.json_text(payload))
+        _write(args.json, reports.json_chunks(payload))
 
 
 def cmd_run(args) -> int:
     if args.phase_protocol:
         _require(args, ["q"])
+        if not args.all_pairs:
+            _require(args, ["phase_x", "phase_y"])
         q = args.q
+        table, avg = protocol.phase_protocol_table(q)
         if args.all_pairs:
             pairs = [(x, y) for x in range(q) for y in range(q)]
         else:
-            _require(args, ["phase_x", "phase_y"])
+            protocol.check_symbol(q, args.phase_x, "x")
+            protocol.check_symbol(q, args.phase_y, "y")
             pairs = [(args.phase_x, args.phase_y)]
-        avg = protocol.phase_protocol_average_error(q)
+        pn_of = table.tolist()
         rows = []
         for x, y in pairs:
-            pn = protocol.phase_protocol_pn(q, x, y)
+            pn = pn_of[x][y]
             rows.append({
                 "q": q, "x": x, "y": y, "pN_exact": pn,
                 "referee_error": pn if x == y else 1.0 - pn,

@@ -9,11 +9,6 @@ class DimensionError(QfpError, ValueError):
     """A vector, code word or message has the wrong length."""
 
 
-class StageMismatchError(QfpError, ValueError):
-    """An operation was applied to a state in the wrong picture
-    (branch vs. port)."""
-
-
 class NormalizationError(QfpError, ValueError):
     """State amplitudes do not carry a single particle (norm != 1)."""
 

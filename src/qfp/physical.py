@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from . import kernels
 from .errors import DomainError
 
@@ -127,6 +129,9 @@ class NoiseRates:
     abort_stderr: float
 
 
+_TALLY_BLOCK = 1 << 16  # verdicts counted per bincount call
+
+
 def _rate(count: int, trials: int) -> tuple[float, float]:
     r = count / trials
     return r, math.sqrt(r * (1.0 - r) / trials)
@@ -165,9 +170,11 @@ def conditional_error_with_noise(model: ImperfectionModel, p_not_equal: float,
         p0, p1, model.transmission * model.detector_efficiency,
         p_not_equal, model.dark_count_prob, slots, k, trials, seed,
     )
-    n_equal = int((verdicts == 0).sum())
-    n_not_equal = int((verdicts == 1).sum())
-    n_abort = int((verdicts == 2).sum())
+    # tallied a block at a time: bincount widens its input to intp
+    tally = sum(np.bincount(verdicts[start:start + _TALLY_BLOCK],
+                            minlength=3)
+                for start in range(0, trials, _TALLY_BLOCK))
+    n_equal, n_not_equal, n_abort = map(int, tally)
     truth_equal = p_not_equal == 0.0
     fe, fe_se = (0.0, 0.0) if truth_equal else _rate(n_equal, trials)
     fn, fn_se = _rate(n_not_equal, trials) if truth_equal else (0.0, 0.0)

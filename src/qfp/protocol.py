@@ -10,13 +10,12 @@ d_H/m >= t/m per run, and k independent runs push the miss probability
 below (1 - t/m)^k.
 
 Mode i's port amplitudes depend only on the bit pair (e(x)_i, e(y)_i), so
-the code protocols evaluate the interferometer once per bit pair with
-:func:`qfp.modes.pi_phase_ports` and gather the result per mode; no
-``(2, m)`` complex state is built.
+the code protocols evaluate :func:`qfp.modes.interferometer` once per bit
+pair and gather the result per mode; no ``(2, m)`` complex state is built.
 
-Small-alphabet variants (one symbol, one mode pair, phase 2*pi*x/q) are
-included; they are the q-ary analogues of the same interferometer, and
-the only protocols here that build a :class:`qfp.modes.ModeState`.
+Small-alphabet variants (one symbol, one mode, phase 2*pi*x/q) are
+included; they are the q-ary one-mode case of the same interferometer,
+evaluated for all q^2 symbol pairs in one call.
 """
 
 from __future__ import annotations
@@ -31,9 +30,8 @@ import numpy as np
 
 from . import kernels, reports
 from .ecc import Code, bits_to_hex, encode
-from .errors import DimensionError, DomainError
-from .modes import (ModeLabel, Stage, apply_phases, pi_phase_ports,
-                    port_probabilities, prepare_split, recombine)
+from .errors import DimensionError, DomainError, ResourceLimitError
+from .modes import interferometer
 
 
 class Verdict(enum.Enum):
@@ -72,18 +70,24 @@ class ProtocolParams:
         return cls(code.n, code, k, epsilon)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunResult:
-    """Outcome of one sampled k-run protocol."""
+    """Outcome of one sampled k-run protocol.
+
+    ``clicks`` holds each run's outcome index into the 2m port outcomes:
+    index i < m is port E, mode i + 1, and index i >= m is port N, mode
+    i - m + 1.
+    """
 
     verdict: Verdict
     pn_exact: float
-    clicks: tuple[ModeLabel, ...]
+    clicks: np.ndarray
+    m: int
     seed: int
 
     @property
     def n_clicks_not_equal(self) -> int:
-        return sum(1 for c in self.clicks if c.side == "N")
+        return int(np.count_nonzero(self.clicks >= self.m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,16 +116,18 @@ class BatchResult:
     def not_equal_fraction(self) -> float:
         return self.n_not_equal / self.trials
 
-    def verdicts(self) -> list[Verdict]:
-        return [Verdict.NOT_EQUAL if c else Verdict.EQUAL
-                for c in self.n_clicks]
+
+# branch phases (A, B) of the four bit-pair classes; class c carries
+# phase pi * (c >> 1) on branch A and pi * (c & 1) on branch B
+_CLASS_PHASES = np.pi * np.array([[0, 0, 1, 1], [0, 1, 0, 1]],
+                                 dtype=np.uint8)
 
 
 def _port_table(code: Code, x, y) -> tuple[np.ndarray, np.ndarray]:
     # port statistics of the four bit-pair classes, and each mode's class
     # (e(x)_i << 1) | e(y)_i, one byte per mode
     pair = (encode(code, x) << 1) | encode(code, y)
-    return pi_phase_ports(np.bincount(pair, minlength=4)), pair
+    return interferometer(_CLASS_PHASES, code.m), pair
 
 
 def run_exact(code: Code, x, y) -> float:
@@ -137,11 +143,6 @@ def _port_distribution(code: Code, x, y) -> tuple[np.ndarray, float]:
     return per_mode.ravel(), float(per_mode[1].sum())
 
 
-def _label_for_index(m: int, idx: int) -> ModeLabel:
-    side = "E" if idx < m else "N"
-    return ModeLabel(Stage.PORT, side, idx % m + 1)
-
-
 def run_sampled(params: ProtocolParams, x, y, seed: int) -> RunResult:
     """Sample one k-run protocol; NotEqual iff any run clicks port N.
 
@@ -150,11 +151,10 @@ def run_sampled(params: ProtocolParams, x, y, seed: int) -> RunResult:
     (recorded in the result for replay).
     """
     probs, pn = _port_distribution(params.code, x, y)
-    idx = kernels.sample_indices(probs, params.k, seed)
-    clicks = tuple(_label_for_index(params.code.m, int(i)) for i in idx)
-    verdict = (Verdict.NOT_EQUAL if any(c.side == "N" for c in clicks)
-               else Verdict.EQUAL)
-    return RunResult(verdict, pn, clicks, int(seed) & (2**64 - 1))
+    clicks = kernels.sample_indices(probs, params.k, seed)
+    m = params.code.m
+    verdict = Verdict.NOT_EQUAL if np.any(clicks >= m) else Verdict.EQUAL
+    return RunResult(verdict, pn, clicks, m, int(seed) & (2**64 - 1))
 
 
 def run_batch(params: ProtocolParams, x, y, master_seed: int,
@@ -207,26 +207,64 @@ def amplified_error_bound(nu: float, k: int) -> float:
 
 # --- small-alphabet phase protocols ----------------------------------------
 
-def _check_symbol(q: int, value: int, name: str) -> None:
+# most symbol pairs one phase-protocol call evaluates: q = 300 with
+# --all-pairs --out --json peaks at 88 MB, most of it the report rows
+PHASE_PAIR_BUDGET = 300**2
+
+
+def _check_alphabet(q: int) -> None:
+    if q < 2:
+        raise DomainError(f"alphabet size q must be >= 2, got {q}")
+
+
+def check_symbol(q: int, value: int, name: str) -> None:
+    """A phase-protocol symbol must lie in 0..q-1."""
     if not 0 <= value < q:
         raise DomainError(f"{name} = {value} outside 0..{q - 1}")
+
+
+def _symbol_phases(q: int, x, y) -> np.ndarray:
+    # Alice's phase 2*pi*x/q over Bob's 2*pi*y/q, one column per pair
+    return np.stack([2.0 * np.pi * np.asarray(x, dtype=np.float64) / q,
+                     2.0 * np.pi * np.asarray(y, dtype=np.float64) / q])
 
 
 def phase_protocol_pn(q: int, x: int, y: int) -> float:
     """N-port probability for single-symbol inputs encoded as phases.
 
     One internal mode; Alice applies phase 2*pi*x/q and Bob 2*pi*y/q.
-    Runs the actual interferometer pipeline; the closed form is
+    Runs the interferometer on that one column; the closed form is
     sin^2(pi (x - y) / q) and the two agree to machine precision.
     """
-    if q < 2:
-        raise DomainError(f"alphabet size q must be >= 2, got {q}")
-    _check_symbol(q, x, "x")
-    _check_symbol(q, y, "y")
-    state = prepare_split(1)
-    state = apply_phases(state, "A", [2.0 * np.pi * x / q])
-    state = apply_phases(state, "B", [2.0 * np.pi * y / q])
-    return port_probabilities(recombine(state)).p_not_equal
+    _check_alphabet(q)
+    check_symbol(q, x, "x")
+    check_symbol(q, y, "y")
+    return float(interferometer(_symbol_phases(q, [x], [y]), 1)[1, 0])
+
+
+def phase_protocol_table(q: int) -> tuple[np.ndarray, float]:
+    """N-port probability of every symbol pair, and the average error.
+
+    Returns a read-only ``(q, q)`` array whose entry ``[x, y]`` equals
+    ``phase_protocol_pn(q, x, y)``, and the average of
+    :func:`phase_protocol_average_error`, both from one interferometer
+    call over all q^2 pairs.  More than :data:`PHASE_PAIR_BUDGET` pairs
+    raise ``ResourceLimitError`` before anything is allocated.
+    """
+    _check_alphabet(q)
+    if q * q > PHASE_PAIR_BUDGET:
+        raise ResourceLimitError(
+            f"q = {q} has {q * q} symbol pairs, past the phase-protocol "
+            f"budget of {PHASE_PAIR_BUDGET}"
+        )
+    symbols = np.arange(q)
+    pn = interferometer(_symbol_phases(q, np.repeat(symbols, q),
+                                       np.tile(symbols, q)), 1)[1]
+    table = pn.reshape(q, q)
+    # 1 - pN over x != y in x-major order, summed left to right
+    unequal = 1.0 - table[~np.eye(q, dtype=bool)]
+    total = float(np.cumsum(unequal)[-1])
+    return table, total / (q * q)
 
 
 def phase_protocol_average_error(q: int) -> float:
@@ -236,14 +274,7 @@ def phase_protocol_average_error(q: int) -> float:
     an unequal pair errs with probability 1 - pN: the average is
     (1/q^2) sum_{x != y} (1 - pN(x, y)).
     """
-    if q < 2:
-        raise DomainError(f"alphabet size q must be >= 2, got {q}")
-    total = 0.0
-    for x in range(q):
-        for y in range(q):
-            if x != y:
-                total += 1.0 - phase_protocol_pn(q, x, y)
-    return total / (q * q)
+    return phase_protocol_table(q)[1]
 
 
 # --- report rows ------------------------------------------------------------

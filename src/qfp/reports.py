@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import os
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 def render_value(value) -> str:
@@ -56,5 +56,12 @@ def csv_text(fieldnames: Sequence[str],
     return buf.getvalue()
 
 
+def json_chunks(payload) -> Iterator[str]:
+    """The text of :func:`json_text` as the encoder's chunks, so a long
+    report is written without ever being held whole."""
+    yield from json.JSONEncoder(indent=2).iterencode(payload)
+    yield "\n"
+
+
 def json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return "".join(json_chunks(payload))

@@ -128,6 +128,10 @@ class TestLowerBounds:
     def test_domain(self):
         with pytest.raises(DomainError):
             smp_equality_lower_bounds(0)
+        # past the float range sqrt(n) and n/400 cannot be formed
+        with pytest.raises(DomainError):
+            smp_equality_lower_bounds(10**400)
+        assert smp_equality_lower_bounds(int(1.7e308)).ab_lower > 4e305
 
 
 class TestBreakeven:

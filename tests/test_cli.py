@@ -1,8 +1,11 @@
 """CLI behavior: subcommands, config files, determinism, exit codes."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +13,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qfp
 from qfp import cli, protocol
@@ -147,6 +152,34 @@ class TestRunCommand:
             expected = 0.0 if x == y else 0.75
             assert float(row["pN_exact"]) == pytest.approx(expected,
                                                            abs=1e-12)
+
+    def test_phase_pair_budget_refused_at_once(self, tmp_path):
+        # q^2 pairs past protocol.PHASE_PAIR_BUDGET exit 2 before any
+        # pair is evaluated or anything is printed
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(qfp.__file__).resolve().parents[1]))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "qfp.cli", "run", "--phase-protocol",
+             "--q", "100000000000000000000", "--phase-x", "0",
+             "--phase-y", "1"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=60)
+        assert time.perf_counter() - start < 1.0
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "phase-protocol budget" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_phase_worst_admitted_case_memory(self, tmp_path):
+        # the largest q the pair budget admits, every row in both reports
+        q = math.isqrt(protocol.PHASE_PAIR_BUDGET)
+        rc, seconds, peak_mb = run_child(
+            ["run", "--phase-protocol", "--q", str(q), "--all-pairs",
+             "--out", "p.csv", "--json", "p.json"], tmp_path)
+        assert rc == 0
+        assert (tmp_path / "p.csv").read_bytes().count(b"\n") == q * q + 1
+        assert peak_mb < 100 and seconds < 10
 
     def test_sampled_deterministic_bytes(self, tmp_path):
         argv = ["run", "--code", "hadamard", "--n", "4", "--x", "0000",
@@ -312,6 +345,11 @@ class TestClassicalCommand:
         row = read_csv(out)[0]
         assert float(row["max_lower"]) == pytest.approx(5000.0)
         assert float(row["shared_bit_lower"]) == pytest.approx(2500.0)
+
+    def test_bounds_n_past_float_range_is_domain_error(self, capsys):
+        assert main(["classical", "--bounds", "--n", str(10**400)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
 
     def test_breakeven_prints_both_sides(self, capsys):
         assert main(["classical", "--breakeven", "--epsilon", "0.01",
@@ -612,3 +650,65 @@ class TestTopLevel:
         assert main(["feasibility", "--L", "10000m", "--period", "1ns",
                      "--index", "1", "--json", str(j2)]) == 0
         assert j1.read_bytes() == j2.read_bytes()
+
+
+# adversarial option values: zero, negative, non-finite, subnormal, huge
+NUMBERS = ["0", "-1", "-0", "nan", "inf", "-inf", "1e-320", "1e20",
+           "1e309", "100000000000000000000", str(2**64), str(10**400),
+           "1", "2", "3", "7", "0.25", "0.6"]
+
+
+def _argv(prefix, options, flags=()):
+    """argv strategy: ``prefix``, a subset of ``flags`` and of the value
+    ``options``, each value drawn from NUMBERS."""
+    pairs = st.lists(st.tuples(st.sampled_from(options),
+                               st.sampled_from(NUMBERS)),
+                     max_size=len(options), unique_by=lambda p: p[0])
+    return st.tuples(st.lists(st.sampled_from(flags), unique=True)
+                     if flags else st.just([]), pairs).map(
+        lambda t: [*prefix, *t[0], *(x for pair in t[1] for x in pair)])
+
+
+FUZZ_ARGV = st.one_of(
+    _argv(["run", "--phase-protocol"], ["--q", "--phase-x", "--phase-y"],
+          ["--all-pairs"]),
+    _argv(["feasibility"], ["--L", "--period", "--index", "--window-factor",
+                            "--mu-photon", "--dark", "--transmission",
+                            "--efficiency"], ["--deterministic-source"]),
+    _argv(["classical", "--bounds"], ["--n", "--epsilon", "--mu"]),
+    _argv(["classical", "--breakeven"], ["--epsilon", "--mu"]),
+)
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(argv=FUZZ_ARGV)
+    @example(argv=["run", "--phase-protocol", "--q", "100000000000000000000",
+                   "--phase-x", "0", "--phase-y", "1"])
+    @example(argv=["run", "--phase-protocol", "--q", "100000000000000000000",
+                   "--all-pairs"])
+    @example(argv=["run", "--code", "identity",
+                   "--n", "100000000000000000000", "--x", "0", "--y", "1"])
+    @example(argv=["run", "--code", "repetition", "--n", "2",
+                   "--r", "100000000000000000000", "--x", "0", "--y", "1"])
+    @example(argv=["run", "--code", "hadamard", "--n", "4", "--x", "0000",
+                   "--y", "0110", "--k", "100000000000", "--trials", "1"])
+    @example(argv=["run", "--code", "hadamard", "--n", "4", "--x", "0000",
+                   "--y", "0110", "--trials", "1000000000"])
+    @example(argv=["feasibility", "--noise", "--pn", "0.25",
+                   "--k", "100000000000", "--trials", "1"])
+    @example(argv=["feasibility", "--period", "1e-320"])
+    @example(argv=["feasibility", "--L", "1e309"])
+    @example(argv=["feasibility", "--index", "1e308"])
+    @example(argv=["feasibility", "--window-factor", "1e308"])
+    @example(argv=["feasibility", "--mu-photon", "inf"])
+    @example(argv=["classical", "--breakeven", "--epsilon", "0.6"])
+    @example(argv=["classical", "--bounds", "--n", str(10**400)])
+    @example(argv=["classical", "--bounds", "--n", str(10**400),
+                   "--epsilon", "0.01"])
+    def test_every_input_ends_in_an_exit_code(self, argv):
+        # an exception escaping main would be a traceback at the command
+        # line; outputs go to stdout only, so nothing is written
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2)
