@@ -97,12 +97,17 @@ def brute_force_smp(q: int, alice_msgs: int, bob_msgs: int) -> SmpSearchResult:
     """
     if q < 1 or alice_msgs < 1 or bob_msgs < 1:
         raise DomainError("alphabet and message counts must be >= 1")
-    space = strategy_space_size(q, alice_msgs, bob_msgs)
-    if space > SEARCH_GUARD:
+    # the kernel and the witness re-score each score every strategy on the
+    # q^2 input pairs.  There are at least 2^(ab) >= 2 strategies, so a
+    # huge q, a or b is refused before their count is formed
+    pairs = q * q
+    if (2 * pairs > SEARCH_GUARD or alice_msgs * bob_msgs > 62
+            or (space := strategy_space_size(q, alice_msgs, bob_msgs))
+            * pairs > SEARCH_GUARD):
         raise ResourceLimitError(
-            f"{space} strategies exceed the enumerability guard "
-            f"({SEARCH_GUARD})"
-        )
+            f"SMP search over q = {q} with {alice_msgs} x {bob_msgs} "
+            f"messages: strategies x q^2 input pairs exceed the search "
+            f"guard ({SEARCH_GUARD})")
     best, ai, bi, mask = kernels.smp_exhaustive_search(q, alice_msgs,
                                                        bob_msgs)
     witness = Strategy(_decode_map(ai, alice_msgs, q),

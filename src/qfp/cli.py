@@ -103,6 +103,8 @@ def _load_config_section(path: str, section: str, types: dict) -> dict:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path!r} is not UTF-8: {exc}") from exc
     if not parser.has_section(section):
         return {}
     merged = {}

@@ -179,6 +179,7 @@ def random_linear_code(n: int, m: int, seed: int) -> Code:
             f"random_linear_code requires the distance oracle, "
             f"capped at n <= {ORACLE_MAX_N}"
         )
+    _check_generator_size("random_linear_code", n, m)
     words_per_row = (m + 63) // 64
     words = kernels.splitmix64_stream(seed, n * words_per_row)
     raw = np.unpackbits(words.astype("<u8").view(np.uint8),
@@ -233,6 +234,8 @@ def load_code(src) -> Code:
     fh = open(src, "r", encoding="utf-8") if own else src
     try:
         n, m, t, kind, gen = _read_generator(fh)
+    except UnicodeDecodeError as exc:
+        raise CodeFormatError(f"code file is not UTF-8: {exc}") from exc
     finally:
         if own:
             fh.close()

@@ -18,7 +18,7 @@ class DomainError(QfpError, ValueError):
 
 
 class ResourceLimitError(QfpError, RuntimeError):
-    """An exhaustive computation would exceed the enumerability guard."""
+    """A request exceeds a work or memory cap, checked before the work."""
 
 
 class CodeFormatError(QfpError, ValueError):

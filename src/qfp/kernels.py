@@ -30,7 +30,8 @@ unchanged.
 Batch routines give trial ``i`` (0-based) a private substream whose seed is
 output ``i + 1`` of a master stream.  A single trial is therefore
 replayable from its recorded substream seed alone, and trials may run in
-any order or in parallel without sharing state.
+any order or in parallel without sharing state: :func:`replay_click_count`
+runs the block code of :func:`click_counts` on a block of that one seed.
 
 Block contract
 --------------
@@ -51,7 +52,6 @@ import numpy as np
 from .errors import ResourceLimitError
 
 _MASK64 = (1 << 64) - 1
-_TO_U01 = 2.0**-53
 _GOLDEN_INT = 0x9E3779B97F4A7C15
 
 _GOLDEN = np.uint64(_GOLDEN_INT)
@@ -60,7 +60,6 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _SH30 = np.uint64(30)
 _SH27 = np.uint64(27)
 _SH31 = np.uint64(31)
-_SH11 = np.uint64(11)
 
 # ---------------------------------------------------------------------------
 # splitmix64 streams
@@ -119,11 +118,6 @@ def _trial_blocks(master_seed: int, trials: int):
         yield start, derive_stream_seeds(master_seed, count, start)
 
 
-def uniforms_from_seed(seed: int, count: int) -> np.ndarray:
-    """``count`` uniform deviates in [0, 1) from the stream at ``seed``."""
-    return (splitmix64_stream(seed, count) >> _SH11) * _TO_U01
-
-
 _ALWAYS, _NEVER = 0, 1 << 64  # cuts every output passes / none reaches
 
 
@@ -171,14 +165,24 @@ class _Draws:
 # port-outcome sampling
 # ---------------------------------------------------------------------------
 
-def _prepare_distribution(probs: np.ndarray) -> tuple[np.ndarray, int]:
-    probs = np.ascontiguousarray(probs, dtype=np.float64)
-    if probs.ndim != 1 or probs.shape[0] == 0:
-        raise ValueError("probability vector must be non-empty and 1-d")
-    positive = np.flatnonzero(probs > 0.0)
-    if positive.size == 0:
+def _n_port_cut(probs: np.ndarray) -> int:
+    # the cut at and past which a draw of :func:`click_counts` clicks N
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 1 or probs.shape[0] == 0 or probs.shape[0] % 2:
+        raise ValueError("per-mode vector must hold 2m > 0 probabilities")
+    if not np.any(probs > 0.0):
         raise ValueError("probability vector has no mass")
-    return np.cumsum(probs), int(positive[-1])
+    m = probs.shape[0] // 2
+    if not np.any(probs[m:] > 0.0):
+        return _NEVER
+    return _u01_cut(float(np.cumsum(probs)[m - 1]))
+
+
+def _add_clicks(seeds: np.ndarray, cut: int, k: int, out: np.ndarray) -> None:
+    # add the N clicks among the k draws of each substream into ``out``
+    draws = _Draws(seeds)
+    for j in range(1, int(k) + 1):
+        out += draws.at_least(j, [cut])[0]
 
 
 def click_counts(probs: np.ndarray, k: int, trials: int, master_seed: int,
@@ -188,40 +192,31 @@ def click_counts(probs: np.ndarray, k: int, trials: int, master_seed: int,
     ``probs`` holds the 2m per-mode probabilities ordered as all equal-port
     modes followed by all not-equal-port modes; an outcome index >= m is an
     N click.  Each trial draws ``k`` independent outcomes by inverse CDF,
-    as :func:`sample_indices` does, but only the port is kept: the first
-    cumulative value above ``u`` lies at index >= m iff
-    ``u >= cum[m - 1]``, one comparison per draw of the raw output with
-    that threshold's cut.  A ``u`` past the table takes the last positive
-    outcome, so with no N-port mass no draw clicks N.  Outcomes with
-    exactly zero probability are structurally unreachable, which keeps
-    one-sided error exact.  Counts are stored in ``dtype``, which must
-    hold ``k``; each block is written straight into it.
+    but only the port is kept: the first cumulative value above ``u`` lies
+    at index >= m iff ``u >= cum[m - 1]``, one comparison per draw of the
+    raw output with that threshold's cut.  A ``u`` past the table takes the
+    last positive outcome, so with no N-port mass no draw clicks N.
+    Outcomes with exactly zero probability are structurally unreachable,
+    which keeps one-sided error exact.  Counts are stored in ``dtype``,
+    which must hold ``k``; each block is written straight into it.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim == 1 and probs.shape[0] % 2:
-        raise ValueError("per-mode vector must hold 2m port probabilities")
-    cum, last_pos = _prepare_distribution(probs)
-    m = probs.shape[0] // 2
-    cut = _u01_cut(float(cum[m - 1]) if last_pos >= m else math.inf)
+    cut = _n_port_cut(probs)
     counts = np.zeros(trials, dtype=dtype)
     for start, seeds in _trial_blocks(master_seed, trials):
-        block = counts[start:start + seeds.shape[0]]
-        draws = _Draws(seeds)
-        for j in range(1, int(k) + 1):
-            block += draws.at_least(j, [cut])[0]
+        _add_clicks(seeds, cut, k, counts[start:start + seeds.shape[0]])
     return counts
 
 
-def sample_indices(probs: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """Draw ``k`` outcome indices from one substream (single-trial replay).
+def replay_click_count(probs: np.ndarray, k: int, seed: int) -> int:
+    """N-click count of the one trial drawn from the substream at ``seed``.
 
-    Bit-identical to trial ``i`` of :func:`click_counts` when ``seed`` is
-    that trial's substream seed.
+    The block code of :func:`click_counts` on a block of one seed, so equal
+    to trial ``i`` of a batch when ``seed`` is that trial's substream seed.
     """
-    cum, last_pos = _prepare_distribution(probs)
-    u = uniforms_from_seed(seed, k)
-    idx = np.searchsorted(cum, u, side="right")
-    return np.where(idx >= cum.shape[0], last_pos, idx).astype(np.int64)
+    count = np.zeros(1, dtype=np.int64)
+    _add_clicks(np.array([int(seed) & _MASK64], dtype=np.uint64),
+                _n_port_cut(probs), k, count)
+    return int(count[0])
 
 
 # ---------------------------------------------------------------------------

@@ -70,24 +70,16 @@ class ProtocolParams:
         return cls(code.n, code, k, epsilon)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RunResult:
-    """Outcome of one sampled k-run protocol.
-
-    ``clicks`` holds each run's outcome index into the 2m port outcomes:
-    index i < m is port E, mode i + 1, and index i >= m is port N, mode
-    i - m + 1.
-    """
+    """Outcome of one sampled k-run protocol: the verdict, the exact
+    per-run N-port probability, how many of the k runs clicked N, and the
+    substream seed that replays it."""
 
     verdict: Verdict
     pn_exact: float
-    clicks: np.ndarray
-    m: int
+    n_clicks_not_equal: int
     seed: int
-
-    @property
-    def n_clicks_not_equal(self) -> int:
-        return int(np.count_nonzero(self.clicks >= self.m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,8 +117,10 @@ _CLASS_PHASES = np.pi * np.array([[0, 0, 1, 1], [0, 1, 0, 1]],
 
 def _port_table(code: Code, x, y) -> tuple[np.ndarray, np.ndarray]:
     # port statistics of the four bit-pair classes, and each mode's class
-    # (e(x)_i << 1) | e(y)_i, one byte per mode
-    pair = (encode(code, x) << 1) | encode(code, y)
+    # (e(x)_i << 1) | e(y)_i, one byte per mode, built in place
+    pair = encode(code, x)
+    pair <<= 1
+    pair |= encode(code, y)
     return interferometer(_CLASS_PHASES, code.m), pair
 
 
@@ -146,15 +140,14 @@ def _port_distribution(code: Code, x, y) -> tuple[np.ndarray, float]:
 def run_sampled(params: ProtocolParams, x, y, seed: int) -> RunResult:
     """Sample one k-run protocol; NotEqual iff any run clicks port N.
 
-    Reproducible: the k port outcomes are drawn by inverse CDF over the 2m
-    per-mode probabilities from the splitmix64 substream at ``seed``
-    (recorded in the result for replay).
+    Reproducible: the k runs are drawn from the splitmix64 substream at
+    ``seed`` (recorded in the result for replay) by the block sampler of
+    :func:`run_batch`, so a batch trial's seed replays it exactly.
     """
     probs, pn = _port_distribution(params.code, x, y)
-    clicks = kernels.sample_indices(probs, params.k, seed)
-    m = params.code.m
-    verdict = Verdict.NOT_EQUAL if np.any(clicks >= m) else Verdict.EQUAL
-    return RunResult(verdict, pn, clicks, m, int(seed) & (2**64 - 1))
+    n_clicks = kernels.replay_click_count(probs, params.k, seed)
+    verdict = Verdict.NOT_EQUAL if n_clicks else Verdict.EQUAL
+    return RunResult(verdict, pn, n_clicks, int(seed) & (2**64 - 1))
 
 
 def run_batch(params: ProtocolParams, x, y, master_seed: int,
@@ -297,9 +290,9 @@ def exact_report_row(code: Code, x, y) -> dict:
     return _run_row(code, None, x, y, pn, verdict.value, None, None)
 
 
-# trials rendered per report chunk; the text of a 2^14-trial JSON chunk
-# outweighed every per-trial array of the run
-_ROW_BLOCK = 1 << 12
+# trials rendered per report chunk; a chunk's text and its encoded copy
+# set a report run's peak memory: 2^12 trials cost ~2 MB more than 2^10
+_ROW_BLOCK = 1 << 10
 _SLOT = "<slot>"  # stands for a per-trial value in a rendered template row
 
 

@@ -31,7 +31,7 @@ class TestBruteForceSmp:
         assert brute_force_smp(3, 3, 3).average_error == 0
 
     def test_identity_strategy_is_perfect_for_q4(self):
-        # the q=4 full-information search exceeds the enumerability guard,
+        # the q=4 full-information search exceeds the search guard,
         # but a perfect strategy exists by construction
         referee = tuple(
             tuple(Verdict.EQUAL if i == j else Verdict.NOT_EQUAL
@@ -62,6 +62,15 @@ class TestBruteForceSmp:
             brute_force_smp(5, 4, 5)
         with pytest.raises(DomainError):
             brute_force_smp(0, 1, 1)
+
+    def test_guard_counts_scored_pairs(self):
+        # strategies x q^2 input pairs: the q = 4 search with 3 x 3
+        # messages fits, a one-map space over a large alphabet does not
+        assert brute_force_smp(4, 3, 3).strategies_searched == 81 * 81 * 512
+        for shape in ((7072, 1, 1), (3_000_000, 1, 1), (10**20, 1, 1),
+                      (10**20, 2, 1), (3, 10**20, 10**20), (4, 4, 4)):
+            with pytest.raises(ResourceLimitError, match="search guard"):
+                brute_force_smp(*shape)
 
     @pytest.mark.parametrize("kernel", ["numpy"])
     def test_backend_parity(self, kernel):

@@ -523,6 +523,16 @@ class TestCodesCommand:
         assert rc == 0
         assert peak_mb < 90
 
+    def test_non_utf8_code_file_is_format_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.code"
+        path.write_bytes(b"\xff\xfe1 1 1 Identity\n1\n")
+        assert main(["codes", "show", "--in", str(path)]) == 1
+        assert main(["run", "--code-file", str(path), "--x", "0", "--y",
+                     "1", "--exact"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("not UTF-8") == 2
+        assert captured.out == ""
+
     def test_import_alias_loads_file(self, tmp_path, capsys):
         path = tmp_path / "rep.code"
         assert main(["codes", "export", "--kind", "repetition", "--n", "2",
@@ -567,6 +577,17 @@ class TestConfigFiles:
         conf.write_text("[run]\nthis is not a key value pair\n")
         assert main(["run", "--config", str(conf)]) == 1
         assert "line" in capsys.readouterr().err.lower()
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        conf = tmp_path / "bad.cfg"
+        conf.write_bytes(b"\xff\xfe[run]\nk = 3\n")
+        assert main(["run", "--config", str(conf), "--out",
+                     str(tmp_path / "r.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "not UTF-8" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [conf]
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
@@ -702,6 +723,19 @@ class TestFuzz:
     @example(argv=["feasibility", "--index", "1e308"])
     @example(argv=["feasibility", "--window-factor", "1e308"])
     @example(argv=["feasibility", "--mu-photon", "inf"])
+    @example(argv=["run", "--code", "random", "--n", "4",
+                   "--m", "100000000000000000000", "--x", "0001",
+                   "--y", "0010", "--exact"])
+    @example(argv=["codes", "export", "--kind", "random", "--n", "4",
+                   "--m", "100000000000000000000", "--out", "c.txt"])
+    @example(argv=["classical", "--q", "100000000000000000000",
+                   "--alice", "1", "--bob", "1"])
+    @example(argv=["classical", "--q", "3000000", "--alice", "1",
+                   "--bob", "1"])
+    @example(argv=["classical", "--q", "100000000000000000000",
+                   "--alice", "2", "--bob", "1"])
+    @example(argv=["classical", "--q", "3", "--alice",
+                   "100000000000000000000", "--bob", "100000000000000000000"])
     @example(argv=["classical", "--breakeven", "--epsilon", "0.6"])
     @example(argv=["classical", "--bounds", "--n", str(10**400)])
     @example(argv=["classical", "--bounds", "--n", str(10**400),

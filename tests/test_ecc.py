@@ -124,6 +124,16 @@ class TestConstructors:
 
 
 class TestRandomLinear:
+    @pytest.mark.parametrize("n,m", [(4, 10**20),
+                                     (1, GENERATOR_MAX_ENTRIES + 1),
+                                     (20, GENERATOR_MAX_ENTRIES // 20 + 1)])
+    def test_size_guard(self, n, m):
+        # refused before the stream words of the n x m generator are drawn
+        assert n * m > GENERATOR_MAX_ENTRIES
+        with pytest.raises(ResourceLimitError,
+                           match="random_linear_code generator"):
+            random_linear_code(n, m, 0)
+
     def test_deterministic_given_seed(self):
         a = random_linear_code(4, 16, seed=11)
         b = random_linear_code(4, 16, seed=11)

@@ -33,6 +33,12 @@ def _reference_splitmix(seed, count):
     return out
 
 
+def _uniforms(seed, count):
+    """``count`` uniforms in [0, 1) from the stream at ``seed``: the float
+    form of the draws that the samplers compare as raw outputs."""
+    return (kernels.splitmix64_stream(seed, count) >> np.uint64(11)) * 2.0**-53
+
+
 class TestStreams:
     def test_known_vector_seed0(self):
         got = [int(v) for v in kernels.splitmix64_stream(0, 3)]
@@ -58,7 +64,7 @@ class TestStreams:
         assert np.array_equal(got, full[start:start + count])
 
     def test_uniforms_in_unit_interval(self):
-        u = kernels.uniforms_from_seed(7, 10_000)
+        u = _uniforms(7, 10_000)
         assert u.min() >= 0.0
         assert u.max() < 1.0
         # top-53-bit construction: mean near 1/2
@@ -131,18 +137,21 @@ def _hadamard_port_probs(x, y):
     return _port_distribution(hadamard_code(4), x, y)[0]
 
 
-def _reference_click_counts(probs, k, trials, master_seed):
-    """Bisect the cumulative table per draw, clamp, test the port."""
+def _reference_click_count(probs, k, seed):
+    """Bisect the cumulative table per draw of the stream at ``seed``,
+    clamp past the table to the last positive outcome, test the port."""
     cum = np.cumsum(probs)
     last_pos = int(np.flatnonzero(probs > 0.0)[-1])
-    m = probs.shape[0] // 2
-    counts = np.zeros(trials, dtype=np.int64)
-    for i, seed in enumerate(kernels.derive_stream_seeds(master_seed,
-                                                         trials)):
-        idx = np.searchsorted(cum, kernels.uniforms_from_seed(int(seed), k),
-                              side="right")
-        counts[i] = (np.where(idx >= cum.shape[0], last_pos, idx) >= m).sum()
-    return counts
+    idx = np.searchsorted(cum, _uniforms(seed, k), side="right")
+    idx = np.where(idx >= cum.shape[0], last_pos, idx)
+    return int((idx >= probs.shape[0] // 2).sum())
+
+
+def _reference_click_counts(probs, k, trials, master_seed):
+    """The reference count of each trial, from its substream seed."""
+    return np.array([_reference_click_count(probs, k, int(seed)) for seed
+                     in kernels.derive_stream_seeds(master_seed, trials)],
+                    dtype=np.int64)
 
 
 class TestClickCounts:
@@ -154,12 +163,17 @@ class TestClickCounts:
                                    "8c8b15c68914f2b5a5d6e63605264e78")
 
     def test_single_trial_replay(self):
-        probs = np.array([0.1, 0.4, 0.3, 0.2])
-        counts = kernels.click_counts(probs, 9, 50, 77)
-        seeds = kernels.derive_stream_seeds(77, 50)
-        for i in range(50):
-            idx = kernels.sample_indices(probs, 9, int(seeds[i]))
-            assert int((idx >= 2).sum()) == counts[i]
+        # each trial replayed from its substream seed alone, against the
+        # bisecting reference on the stream of that seed; a seed is read
+        # modulo 2^64
+        seeds = [*kernels.derive_stream_seeds(77, 50).tolist(), 0, 2**64 - 1,
+                 -1, 2**64 + 5]
+        for probs in ([0.1, 0.4, 0.3, 0.2], [0.5, 0.5, 0.0, 0.0],
+                      [0.0, 0.0, 0.5, 0.5]):
+            probs = np.asarray(probs)
+            for seed in seeds:
+                assert kernels.replay_click_count(probs, 9, seed) == (
+                    _reference_click_count(probs, 9, seed % 2**64))
 
     def test_zero_mass_outcomes_unreachable(self):
         probs = np.array([0.5, 0.5, 0.0, 0.0])
@@ -193,12 +207,12 @@ class TestClickCounts:
                                                            seed))
 
     def test_rejects_empty_or_massless(self):
-        with pytest.raises(ValueError):
-            kernels.click_counts(np.array([]), 1, 1, 0)
-        with pytest.raises(ValueError):
-            kernels.click_counts(np.array([0.0, 0.0]), 1, 1, 0)
-        with pytest.raises(ValueError):
-            kernels.click_counts(np.array([0.5, 0.25, 0.25]), 1, 1, 0)
+        # empty, massless, odd-length, not 1-d: batch and replay alike
+        for probs in ([], [0.0, 0.0], [0.5, 0.25, 0.25], [[0.5, 0.5]]):
+            with pytest.raises(ValueError):
+                kernels.click_counts(np.array(probs), 1, 1, 0)
+            with pytest.raises(ValueError):
+                kernels.replay_click_count(np.array(probs), 1, 0)
 
 
 def binomial_cdf(n: int, p: float) -> np.ndarray:
