@@ -18,12 +18,15 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+import numpy as np
+
 from . import kernels
 from .ecc import justesen_nu
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, check
 from .protocol import Verdict, check_target_error, repetitions_needed
 
-SEARCH_GUARD = 10**8
+# (x, y) input pairs per step of the witness re-score
+_RESCORE_PAIRS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -34,17 +37,21 @@ class Strategy:
     bob_map: tuple[int, ...]
     referee: tuple[tuple[Verdict, ...], ...]  # [alice_msg][bob_msg]
 
-    def decide(self, x: int, y: int) -> Verdict:
-        return self.referee[self.alice_map[x]][self.bob_map[y]]
-
     def misclassified_pairs(self) -> int:
+        """Input pairs whose decision is wrong, each pair decided and
+        compared with x == y on its own, in blocks of x rows."""
         q = len(self.alice_map)
+        says_equal = np.array([[v is Verdict.EQUAL for v in row]
+                               for row in self.referee])
+        alice, bob = np.array(self.alice_map), np.array(self.bob_map)
+        y = np.arange(q)
+        rows = max(1, _RESCORE_PAIRS // q)
         errors = 0
-        for x in range(q):
-            for y in range(q):
-                truth = Verdict.EQUAL if x == y else Verdict.NOT_EQUAL
-                if self.decide(x, y) is not truth:
-                    errors += 1
+        for start in range(0, q, rows):
+            x = np.arange(start, min(start + rows, q))
+            # referee[alice[x]][bob[y]] is Equal, against the truth x == y
+            decided = says_equal[alice[x]][:, bob]
+            errors += int(np.count_nonzero(decided != (x[:, None] == y)))
         return errors
 
 
@@ -97,17 +104,9 @@ def brute_force_smp(q: int, alice_msgs: int, bob_msgs: int) -> SmpSearchResult:
     """
     if q < 1 or alice_msgs < 1 or bob_msgs < 1:
         raise DomainError("alphabet and message counts must be >= 1")
-    # the kernel and the witness re-score each score every strategy on the
-    # q^2 input pairs.  There are at least 2^(ab) >= 2 strategies, so a
-    # huge q, a or b is refused before their count is formed
-    pairs = q * q
-    if (2 * pairs > SEARCH_GUARD or alice_msgs * bob_msgs > 62
-            or (space := strategy_space_size(q, alice_msgs, bob_msgs))
-            * pairs > SEARCH_GUARD):
-        raise ResourceLimitError(
-            f"SMP search over q = {q} with {alice_msgs} x {bob_msgs} "
-            f"messages: strategies x q^2 input pairs exceed the search "
-            f"guard ({SEARCH_GUARD})")
+    # every strategy is scored on the q^2 input pairs
+    check("SMP scored pairs", (alice_msgs, q), (bob_msgs, q),
+          (2, alice_msgs * bob_msgs), (q, 2))
     best, ai, bi, mask = kernels.smp_exhaustive_search(q, alice_msgs,
                                                        bob_msgs)
     witness = Strategy(_decode_map(ai, alice_msgs, q),
@@ -123,7 +122,7 @@ def brute_force_smp(q: int, alice_msgs: int, bob_msgs: int) -> SmpSearchResult:
         average_error=Fraction(best, q * q),
         misclassified_pairs=best,
         worst_case_error=0 if best == 0 else 1,
-        strategies_searched=space,
+        strategies_searched=strategy_space_size(q, alice_msgs, bob_msgs),
         witness=witness,
     )
 

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import (CodeFormatError, DimensionError, DomainError,
-                     ResourceLimitError)
-
-ORACLE_MAX_N = 20
-# no analytic generator holds more entries than the largest Hadamard one
-GENERATOR_MAX_ENTRIES = ORACLE_MAX_N << ORACLE_MAX_N
+from .errors import CodeFormatError, DimensionError, DomainError, check
 
 
 class CodeKind(enum.Enum):
@@ -115,20 +110,11 @@ def hamming_distance(a, b) -> int:
     return int(np.count_nonzero(av != bv))
 
 
-def _check_generator_size(kind: str, n: int, m: int) -> None:
-    # checked before the (n, m) generator is allocated
-    if n * m > GENERATOR_MAX_ENTRIES:
-        raise ResourceLimitError(
-            f"{kind} generator of {n} x {m} entries exceeds the desk-scale "
-            f"cap ({GENERATOR_MAX_ENTRIES} entries)"
-        )
-
-
 def identity_code(n: int) -> Code:
     """Messages sent verbatim; distance 1."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    _check_generator_size("identity_code", n, n)
+    check("generator entries", n, n)
     return Code(n, n, 1, CodeKind.IDENTITY, np.eye(n, dtype=np.uint8))
 
 
@@ -137,7 +123,7 @@ def repetition_code(n: int, r: int) -> Code:
     columns i*r .. i*r + r - 1.  Distance r (met by weight-1 messages)."""
     if n < 1 or r < 1:
         raise DomainError("n and r must be >= 1")
-    _check_generator_size("repetition_code", n, n * r)
+    check("generator entries", n, n * r)
     gen = np.zeros((n, n * r), dtype=np.uint8)
     for i in range(n):
         gen[i, i * r:(i + 1) * r] = 1
@@ -153,11 +139,7 @@ def hadamard_code(n: int) -> Code:
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    if n > ORACLE_MAX_N:
-        raise ResourceLimitError(
-            f"hadamard_code length 2^{n} exceeds the desk-scale cap "
-            f"(n <= {ORACLE_MAX_N})"
-        )
+    check("generator entries", n, (2, n))
     gen = np.zeros((n, 1 << n), dtype=np.uint8)
     for j in range(n):  # bit j of z is 1 on every second run of 2^j
         gen[j].reshape(-1, 2, 1 << j)[:, 1] = 1
@@ -170,16 +152,12 @@ def random_linear_code(n: int, m: int, seed: int) -> Code:
     Reproducible across platforms: the stream seeded with ``seed`` is read
     as one 64-bit word per 64 generator entries, row-major, least
     significant bit first.  The declared distance is certified by
-    :func:`min_distance_bruteforce`, so construction is gated on n <= 20.
+    :func:`min_distance_bruteforce`, so construction is refused past the
+    oracle's budget entries.
     """
     if n < 1 or m < 1:
         raise DomainError("n and m must be >= 1")
-    if n > ORACLE_MAX_N:
-        raise ResourceLimitError(
-            f"random_linear_code requires the distance oracle, "
-            f"capped at n <= {ORACLE_MAX_N}"
-        )
-    _check_generator_size("random_linear_code", n, m)
+    check("generator entries", n, m)
     words_per_row = (m + 63) // 64
     words = kernels.splitmix64_stream(seed, n * words_per_row)
     raw = np.unpackbits(words.astype("<u8").view(np.uint8),
@@ -194,11 +172,6 @@ def min_distance_bruteforce(code: Code) -> int:
 
     Independent of the declared ``code.t``; use it to certify declarations.
     """
-    if code.n > ORACLE_MAX_N:
-        raise ResourceLimitError(
-            f"distance oracle enumerates 2^{code.n} messages; "
-            f"capped at n <= {ORACLE_MAX_N}"
-        )
     return kernels.min_nonzero_weight(code.generator)
 
 

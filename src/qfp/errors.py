@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the work budget."""
 
 
 class QfpError(Exception):
@@ -18,7 +18,43 @@ class DomainError(QfpError, ValueError):
 
 
 class ResourceLimitError(QfpError, RuntimeError):
-    """A request exceeds a work or memory cap, checked before the work."""
+    """A request exceeds its entry of the work budget, :data:`LIMITS`."""
+
+
+# The work budget: the most of each counted resource one request may ask
+# for, checked by :func:`check` before the work starts
+LIMITS = {
+    # k x trials rounded up to whole blocks (kernels.padded_trials);
+    # 2^30 noisy runs take ~30 s
+    "runs": 1 << 30,
+    # q = 300 with --all-pairs --out --json peaks near 90 MB
+    "phase pairs": 300**2,
+    # n x m, every code kind: the largest Hadamard generator (n = 20)
+    "generator entries": 20 << 20,
+    "oracle messages": 1 << 20,  # 2^n, enumerated by the distance oracle
+    # 2^n x ceil(m / 64) tallied weight words: n = 20, m = 65536 takes ~3 s
+    "oracle word steps": 1 << 30,
+    "SMP scored pairs": 10**8,  # strategies x q^2 input pairs
+}
+
+
+def check(name: str, *factors) -> None:
+    """Refuse work ``name`` past its entry in :data:`LIMITS`.
+
+    The work is the product of ``factors``, positive ints or ``(base,
+    exponent)`` powers, multiplied up one base at a time and refused as
+    soon as it passes the limit: no power such as 2^(10^20) is formed.
+    """
+    limit, amount = LIMITS[name], 1
+    powers = [f if isinstance(f, tuple) else (f, 1) for f in factors]
+    for base, exp in powers:
+        for _ in range(exp if base > 1 else 0):
+            amount *= int(base)
+            if amount > limit:
+                shown = " x ".join(str(b) if e == 1 else f"{b}^{e}"
+                                   for b, e in powers)
+                raise ResourceLimitError(
+                    f"{name}: {shown} exceeds the limit of {limit}")
 
 
 class CodeFormatError(QfpError, ValueError):

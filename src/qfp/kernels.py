@@ -49,7 +49,7 @@ import math
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import check
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN_INT = 0x9E3779B97F4A7C15
@@ -66,20 +66,6 @@ _SH31 = np.uint64(31)
 # ---------------------------------------------------------------------------
 
 _TRIAL_BLOCK = 1 << 14  # trials sampled per kernel block
-# most k-run protocols one batch may sample, a started block of trials
-# counted as full (its numpy calls cost about as much): 2^30 noisy runs
-# take about half a minute
-RUN_BUDGET = 1 << 30
-
-
-def check_run_budget(k: int, trials: int) -> None:
-    """Refuse ``trials`` protocols of ``k`` runs past :data:`RUN_BUDGET`."""
-    blocks = -(-trials // _TRIAL_BLOCK)
-    if k * blocks * _TRIAL_BLOCK > RUN_BUDGET:
-        raise ResourceLimitError(
-            f"{trials} trials x {k} runs exceed the sampling budget of "
-            f"{RUN_BUDGET} runs (in blocks of {_TRIAL_BLOCK} trials)"
-        )
 
 
 def _mix(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -109,6 +95,12 @@ def derive_stream_seeds(master_seed: int, trials: int,
     """Substream seeds of trials ``start .. start + trials - 1``: trial
     ``i`` gets output ``i + 1`` of the master stream."""
     return splitmix64_stream(master_seed, trials, start)
+
+
+def padded_trials(trials: int) -> int:
+    """``trials`` rounded up to whole blocks, the count a batch is charged
+    for: a started block costs about as many numpy calls as a full one."""
+    return -(-trials // _TRIAL_BLOCK) * _TRIAL_BLOCK
 
 
 def _trial_blocks(master_seed: int, trials: int):
@@ -328,8 +320,8 @@ def min_nonzero_weight(generator: np.ndarray) -> int:
     if g.ndim != 2:
         raise ValueError("generator must be a 2-d bit matrix")
     n, m = g.shape
-    if n > 24:
-        raise ValueError("exhaustive weight scan capped at n = 24 messages")
+    check("oracle messages", (2, n))
+    check("oracle word steps", (2, n), (m + 63) // 64)
     columns = _pack_rows(g).T  # one row of n words per 64 code columns
     h = n // 2
     block = max(1, _WEIGHT_BLOCK >> h)

@@ -12,13 +12,14 @@ no hardware is driven.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .errors import DomainError
+from .errors import DomainError, check
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact SI value
 DEFAULT_FIBER_INDEX = 1.468
@@ -150,22 +151,22 @@ def conditional_error_with_noise(model: ImperfectionModel, p_not_equal: float,
     ``dark_count_prob`` across the slot window.  Runs keep only clean
     single detections (multi-photon pulses are dropped, not interfered).
     ``slots`` overrides the dark-count window, which otherwise is the
-    fiber slot count implied by the model geometry.  More than
-    ``kernels.RUN_BUDGET`` runs in all raise ``ResourceLimitError``.
+    fiber slot count implied by the model geometry.  More runs than
+    ``errors.LIMITS["runs"]`` raise ``ResourceLimitError`` first.
     """
     if not 0.0 <= p_not_equal <= 1.0:
         raise DomainError(f"p_not_equal must lie in [0, 1], got {p_not_equal!r}")
     if k < 1 or trials < 1:
         raise DomainError("k and trials must be >= 1")
-    kernels.check_run_budget(k, trials)
+    check("runs", k, kernels.padded_trials(trials))
     if model.deterministic_source:
         p0, p1 = 0.0, 1.0
     else:
         p0, p1, _ = photon_number_distribution(model.mean_photon_number)
     if slots is None:
         slots = max(feasible_d(model).d_fiber, 0)
-    elif slots < 0:
-        raise DomainError(f"slots must be >= 0, got {slots}")
+    elif not 0 <= slots <= sys.float_info.max:
+        raise DomainError(f"slots must lie in 0..float max, got {slots}")
     verdicts = kernels.noise_verdicts(
         p0, p1, model.transmission * model.detector_efficiency,
         p_not_equal, model.dark_count_prob, slots, k, trials, seed,

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import kernels, reports
 from .ecc import Code, bits_to_hex, encode
-from .errors import DimensionError, DomainError, ResourceLimitError
+from .errors import DimensionError, DomainError, check
 from .modes import interferometer
 
 
@@ -157,12 +157,12 @@ def run_batch(params: ProtocolParams, x, y, master_seed: int,
     Trial i uses the substream seeded with ``trial_seeds[i]``;
     ``run_sampled`` with that seed reproduces the trial exactly.  Only the
     N-click counts are stored, in the smallest unsigned type that holds k;
-    the seeds are derived again whenever they are read.  More than
-    ``kernels.RUN_BUDGET`` runs in all raise ``ResourceLimitError``.
+    the seeds are derived again whenever they are read.  More runs than
+    ``errors.LIMITS["runs"]`` raise ``ResourceLimitError`` first.
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
-    kernels.check_run_budget(params.k, trials)
+    check("runs", params.k, kernels.padded_trials(trials))
     probs, pn = _port_distribution(params.code, x, y)
     counts = kernels.click_counts(probs, params.k, trials, master_seed,
                                   dtype=np.min_scalar_type(params.k))
@@ -200,11 +200,6 @@ def amplified_error_bound(nu: float, k: int) -> float:
 
 # --- small-alphabet phase protocols ----------------------------------------
 
-# most symbol pairs one phase-protocol call evaluates: q = 300 with
-# --all-pairs --out --json peaks at 88 MB, most of it the report rows
-PHASE_PAIR_BUDGET = 300**2
-
-
 def _check_alphabet(q: int) -> None:
     if q < 2:
         raise DomainError(f"alphabet size q must be >= 2, got {q}")
@@ -241,15 +236,11 @@ def phase_protocol_table(q: int) -> tuple[np.ndarray, float]:
     Returns a read-only ``(q, q)`` array whose entry ``[x, y]`` equals
     ``phase_protocol_pn(q, x, y)``, and the average of
     :func:`phase_protocol_average_error`, both from one interferometer
-    call over all q^2 pairs.  More than :data:`PHASE_PAIR_BUDGET` pairs
+    call over all q^2 pairs.  More pairs than ``errors.LIMITS["phase pairs"]``
     raise ``ResourceLimitError`` before anything is allocated.
     """
     _check_alphabet(q)
-    if q * q > PHASE_PAIR_BUDGET:
-        raise ResourceLimitError(
-            f"q = {q} has {q * q} symbol pairs, past the phase-protocol "
-            f"budget of {PHASE_PAIR_BUDGET}"
-        )
+    check("phase pairs", (q, 2))
     symbols = np.arange(q)
     pn = interferometer(_symbol_phases(q, np.repeat(symbols, q),
                                        np.tile(symbols, q)), 1)[1]

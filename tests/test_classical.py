@@ -69,7 +69,8 @@ class TestBruteForceSmp:
         assert brute_force_smp(4, 3, 3).strategies_searched == 81 * 81 * 512
         for shape in ((7072, 1, 1), (3_000_000, 1, 1), (10**20, 1, 1),
                       (10**20, 2, 1), (3, 10**20, 10**20), (4, 4, 4)):
-            with pytest.raises(ResourceLimitError, match="search guard"):
+            with pytest.raises(ResourceLimitError,
+                               match="SMP scored pairs"):
                 brute_force_smp(*shape)
 
     @pytest.mark.parametrize("kernel", ["numpy"])

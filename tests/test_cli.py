@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 import qfp
 from qfp import cli, protocol
 from qfp.cli import main, parse_length, parse_time
+from qfp.errors import LIMITS
 
 # sha256 of the CSV and JSON reports of sampled runs, recorded before the
 # reports were streamed from the batch arrays; the last case renders its
@@ -86,20 +88,36 @@ CONFIG_SAMPLES = {
 }
 
 
+CHILD_ENV = dict(os.environ,
+                 PYTHONPATH=str(Path(qfp.__file__).resolve().parents[1]))
+
+
 def run_child(argv, cwd):
     """Run ``qfp`` in a fresh interpreter; (exit code, seconds, peak MB).
 
     The peak resident size comes from ``wait4`` on that one child.
     """
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(qfp.__file__).resolve().parents[1]))
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "qfp.cli", *argv],
-                            cwd=cwd, env=env, stdout=subprocess.DEVNULL)
+                            cwd=cwd, env=CHILD_ENV, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
     return (proc.returncode, time.perf_counter() - start,
             usage.ru_maxrss / 1024)  # ru_maxrss is in KiB on Linux
+
+
+def assert_refused_at_once(argv, cwd, entry):
+    """``qfp argv`` exits 2 within a second, naming the budget ``entry``,
+    with nothing on stdout and no traceback."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "qfp.cli", *argv], cwd=cwd,
+                          env=CHILD_ENV, capture_output=True, text=True,
+                          timeout=60)
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"resource limit: {entry}: " in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def read_csv(path):
@@ -154,26 +172,17 @@ class TestRunCommand:
                                                            abs=1e-12)
 
     def test_phase_pair_budget_refused_at_once(self, tmp_path):
-        # q^2 pairs past protocol.PHASE_PAIR_BUDGET exit 2 before any
-        # pair is evaluated or anything is printed
-        env = dict(os.environ,
-                   PYTHONPATH=str(Path(qfp.__file__).resolve().parents[1]))
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "qfp.cli", "run", "--phase-protocol",
-             "--q", "100000000000000000000", "--phase-x", "0",
-             "--phase-y", "1"],
-            cwd=tmp_path, env=env, capture_output=True, text=True,
-            timeout=60)
-        assert time.perf_counter() - start < 1.0
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert "phase-protocol budget" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        # q^2 pairs past the "phase pairs" limit exit 2 before any
+        # pair is evaluated or anything is printed; q = 301 is the
+        # smallest q refused
+        for q in (10**20, math.isqrt(LIMITS["phase pairs"]) + 1):
+            assert_refused_at_once(
+                ["run", "--phase-protocol", "--q", str(q), "--phase-x", "0",
+                 "--phase-y", "1"], tmp_path, "phase pairs")
 
     def test_phase_worst_admitted_case_memory(self, tmp_path):
         # the largest q the pair budget admits, every row in both reports
-        q = math.isqrt(protocol.PHASE_PAIR_BUDGET)
+        q = math.isqrt(LIMITS["phase pairs"])
         rc, seconds, peak_mb = run_child(
             ["run", "--phase-protocol", "--q", str(q), "--all-pairs",
              "--out", "p.csv", "--json", "p.json"], tmp_path)
@@ -242,17 +251,9 @@ class TestRunCommand:
          "--trials", "1"],
     ], ids=["trials", "k", "noise_k"])
     def test_run_budget_refused_before_sampling(self, tmp_path, argv):
-        # trials x k runs past kernels.RUN_BUDGET exit 2 at once, with
+        # trials x k runs past the "runs" limit exit 2 at once, with
         # nothing allocated or printed
-        env = dict(os.environ,
-                   PYTHONPATH=str(Path(qfp.__file__).resolve().parents[1]))
-        proc = subprocess.run([sys.executable, "-m", "qfp.cli", *argv],
-                              cwd=tmp_path, env=env, capture_output=True,
-                              text=True, timeout=60)
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert "sampling budget" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert_refused_at_once(argv, tmp_path, "runs")
 
     def test_exact_hadamard_20_memory(self, tmp_path):
         # modes are evaluated per bit-pair class and gathered: one float
@@ -542,6 +543,53 @@ class TestCodesCommand:
         assert "n=2 m=6 t=3" in capsys.readouterr().out
 
 
+# per entry of the work budget: the largest input it admits and the
+# smallest it refuses.  The phase-pair edges are q = 300 and q = 301 in
+# TestRunCommand.
+def _random_export(n, m):
+    return ["codes", "export", "--kind", "random", "--n", str(n),
+            "--m", str(m), "--out", "c.txt"]
+
+
+def _smp(q):
+    return ["classical", "--q", str(q), "--alice", "1", "--bob", "1"]
+
+
+def _sampled(trials):
+    return ["run", "--code", "hadamard", "--n", "4", "--x", "0000",
+            "--y", "0110", "--k", "65536", "--trials", str(trials)]
+
+
+BUDGET_EDGES = {
+    # k x one started block: 2^16 x 2^14 runs
+    "runs": (_sampled(1 << 14), _sampled((1 << 14) + 1)),
+    "generator entries": (
+        ["codes", "export", "--kind", "hadamard", "--n", "20",
+         "--out", "c.txt"],
+        ["codes", "export", "--kind", "repetition", "--n", "1",
+         "--r", str((20 << 20) + 1), "--out", "c.txt"]),
+    "oracle messages": (_random_export(20, 64), _random_export(21, 1)),
+    # 2^20 x 1024 words, then 1025
+    "oracle word steps": (_random_export(20, 65536),
+                          _random_export(20, 65537)),
+    # 2 strategies x 7071^2 pairs, just under 10^8
+    "SMP scored pairs": (_smp(7071), _smp(7072)),
+}
+
+
+class TestWorkBudget:
+    def test_every_entry_has_edges(self):
+        assert set(BUDGET_EDGES) | {"phase pairs"} == set(LIMITS)
+
+    @pytest.mark.parametrize("entry", sorted(BUDGET_EDGES))
+    def test_edges_in_a_child(self, entry, tmp_path):
+        admitted, refused = BUDGET_EDGES[entry]
+        rc, seconds, peak_mb = run_child(admitted, tmp_path)
+        assert rc == 0
+        assert seconds < 20 and peak_mb < 100
+        assert_refused_at_once(refused, tmp_path, entry)
+
+
 class TestConfigFiles:
     def test_config_supplies_defaults_flags_win(self, tmp_path):
         conf = tmp_path / "exp.cfg"
@@ -690,19 +738,41 @@ def _argv(prefix, options, flags=()):
         lambda t: [*prefix, *t[0], *(x for pair in t[1] for x in pair)])
 
 
+def _code_run(kind):
+    # a well-formed code run over 3-bit inputs; a fuzzed option after it
+    # overrides its value
+    return ["run", "--code", kind, "--n", "3", "--r", "2", "--m", "5",
+            "--x", "101", "--y", "011", "--out", "r.csv", "--json", "r.json"]
+
+
+CODE_KINDS = ("identity", "repetition", "hadamard", "random")
+LINK_OPTIONS = ["--L", "--period", "--mu-photon", "--dark", "--transmission",
+                "--efficiency"]
+
 FUZZ_ARGV = st.one_of(
     _argv(["run", "--phase-protocol"], ["--q", "--phase-x", "--phase-y"],
           ["--all-pairs"]),
-    _argv(["feasibility"], ["--L", "--period", "--index", "--window-factor",
-                            "--mu-photon", "--dark", "--transmission",
-                            "--efficiency"], ["--deterministic-source"]),
+    *(_argv(_code_run(kind), ["--n", "--r", "--m", "--code-seed", "--k",
+                              "--epsilon", "--trials", "--seed"],
+            ["--exact"])
+      for kind in CODE_KINDS),
+    _argv(["feasibility"], [*LINK_OPTIONS, "--index", "--window-factor"],
+          ["--deterministic-source"]),
+    _argv(["feasibility", "--noise", "--pn", "0.25", "--out", "f.csv"],
+          [*LINK_OPTIONS, "--pn", "--k", "--trials", "--seed", "--slots"],
+          ["--deterministic-source"]),
+    _argv(["classical", "--q", "3", "--alice", "2", "--bob", "2",
+           "--out", "s.csv"], ["--q", "--alice", "--bob"]),
     _argv(["classical", "--bounds"], ["--n", "--epsilon", "--mu"]),
     _argv(["classical", "--breakeven"], ["--epsilon", "--mu"]),
+    *(_argv(["codes", "export", "--kind", kind, "--n", "3", "--r", "2",
+             "--m", "5", "--out", "c.code"], ["--n", "--r", "--m", "--seed"])
+      for kind in CODE_KINDS),
 )
 
 
 class TestFuzz:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=600, deadline=None)
     @given(argv=FUZZ_ARGV)
     @example(argv=["run", "--phase-protocol", "--q", "100000000000000000000",
                    "--phase-x", "0", "--phase-y", "1"])
@@ -740,9 +810,16 @@ class TestFuzz:
     @example(argv=["classical", "--bounds", "--n", str(10**400)])
     @example(argv=["classical", "--bounds", "--n", str(10**400),
                    "--epsilon", "0.01"])
+    @example(argv=["codes", "export", "--kind", "random", "--n", "20",
+                   "--m", "1048576", "--out", "c.code"])
+    @example(argv=["classical", "--q", "7071", "--alice", "1", "--bob", "1"])
+    @example(argv=["feasibility", "--noise", "--pn", "0.25",
+                   "--slots", str(10**400)])
     def test_every_input_ends_in_an_exit_code(self, argv):
         # an exception escaping main would be a traceback at the command
-        # line; outputs go to stdout only, so nothing is written
-        with contextlib.redirect_stdout(io.StringIO()), \
+        # line; reports are written to a scratch directory
+        with tempfile.TemporaryDirectory() as scratch, \
+                contextlib.chdir(scratch), \
+                contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2)

@@ -13,7 +13,9 @@ from qfp import (Code, CodeFormatError, CodeKind, DimensionError, DomainError,
                  encode, hadamard_code, hamming_distance, identity_code,
                  justesen_nu, load_code, min_distance_bruteforce,
                  random_linear_code, repetition_code, save_code)
-from qfp.ecc import GENERATOR_MAX_ENTRIES
+from qfp.errors import LIMITS
+
+MAX_ENTRIES = LIMITS["generator entries"]
 
 
 def pairwise_min_distance(code):
@@ -104,20 +106,27 @@ class TestConstructors:
             hadamard_code(21)
         with pytest.raises(ResourceLimitError):
             random_linear_code(21, 8, 0)
+        # 2^20 messages x 1025 words, and x 16384 words (over 30 s of work)
+        for m in (65537, 1 << 20):
+            with pytest.raises(ResourceLimitError,
+                               match="oracle word steps"):
+                random_linear_code(20, m, 0)
+        with pytest.raises(ResourceLimitError, match="oracle word steps"):
+            min_distance_bruteforce(hadamard_code(20))
         with pytest.raises(DomainError):
             repetition_code(0, 3)
 
     @pytest.mark.parametrize("n", [4580, 10**20])
     def test_identity_size_guard(self, n):
         # refused before the n x n generator is allocated
-        assert n * n > GENERATOR_MAX_ENTRIES
+        assert n * n > MAX_ENTRIES
         with pytest.raises(ResourceLimitError):
             identity_code(n)
 
     def test_repetition_size_guard(self):
-        code = repetition_code(1, GENERATOR_MAX_ENTRIES)
-        assert code.generator.size == GENERATOR_MAX_ENTRIES
-        for n, r in ((1, GENERATOR_MAX_ENTRIES + 1), (2, 10**20),
+        code = repetition_code(1, MAX_ENTRIES)
+        assert code.generator.size == MAX_ENTRIES
+        for n, r in ((1, MAX_ENTRIES + 1), (2, 10**20),
                      (10**10, 10**10)):
             with pytest.raises(ResourceLimitError):
                 repetition_code(n, r)
@@ -125,13 +134,13 @@ class TestConstructors:
 
 class TestRandomLinear:
     @pytest.mark.parametrize("n,m", [(4, 10**20),
-                                     (1, GENERATOR_MAX_ENTRIES + 1),
-                                     (20, GENERATOR_MAX_ENTRIES // 20 + 1)])
+                                     (1, MAX_ENTRIES + 1),
+                                     (20, MAX_ENTRIES // 20 + 1)])
     def test_size_guard(self, n, m):
         # refused before the stream words of the n x m generator are drawn
-        assert n * m > GENERATOR_MAX_ENTRIES
+        assert n * m > MAX_ENTRIES
         with pytest.raises(ResourceLimitError,
-                           match="random_linear_code generator"):
+                           match="generator entries"):
             random_linear_code(n, m, 0)
 
     def test_deterministic_given_seed(self):

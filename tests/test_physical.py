@@ -186,5 +186,7 @@ class TestNoisyProtocol:
             conditional_error_with_noise(model, 0.5, 0, 10, seed=0)
         with pytest.raises(DomainError):
             conditional_error_with_noise(model, 0.5, 1, 0, seed=0)
-        with pytest.raises(DomainError):
-            conditional_error_with_noise(model, 0.5, 1, 10, seed=0, slots=-1)
+        for slots in (-1, 10**400):  # past the float range of the cdf
+            with pytest.raises(DomainError):
+                conditional_error_with_noise(model, 0.5, 1, 10, seed=0,
+                                             slots=slots)

@@ -18,7 +18,7 @@ from qfp import (DimensionError, DomainError, ProtocolParams, Verdict,
                  phase_protocol_pn, random_linear_code, repetition_code,
                  repetitions_needed, run_batch, run_exact, run_sampled)
 from qfp import protocol, reports
-from qfp.errors import ResourceLimitError
+from qfp.errors import LIMITS, ResourceLimitError
 from qfp.protocol import RUN_CSV_FIELDS, BatchResult, phase_protocol_table
 
 
@@ -391,7 +391,7 @@ class TestPhaseTable:
             assert phase_protocol_pn(300, x, y).hex() == pn.hex()
 
     def test_pair_budget(self):
-        q = math.isqrt(protocol.PHASE_PAIR_BUDGET)
+        q = math.isqrt(LIMITS["phase pairs"])
         assert phase_protocol_table(q)[0].shape == (q, q)
         for big in (q + 1, 10**20):
             with pytest.raises(ResourceLimitError):
