@@ -158,6 +158,7 @@ def random_linear_code(n: int, m: int, seed: int) -> Code:
     if n < 1 or m < 1:
         raise DomainError("n and m must be >= 1")
     check("generator entries", n, m)
+    kernels.check_oracle(n, m)  # before the stream is drawn and unpacked
     words_per_row = (m + 63) // 64
     words = kernels.splitmix64_stream(seed, n * words_per_row)
     raw = np.unpackbits(words.astype("<u8").view(np.uint8),

@@ -24,7 +24,7 @@ class ResourceLimitError(QfpError, RuntimeError):
 # The work budget: the most of each counted resource one request may ask
 # for, checked by :func:`check` before the work starts
 LIMITS = {
-    # k x trials rounded up to whole blocks (kernels.padded_trials);
+    # k x trials rounded up to whole blocks (kernels.check_runs);
     # 2^30 noisy runs take ~30 s
     "runs": 1 << 30,
     # q = 300 with --all-pairs --out --json peaks near 90 MB

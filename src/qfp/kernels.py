@@ -97,10 +97,10 @@ def derive_stream_seeds(master_seed: int, trials: int,
     return splitmix64_stream(master_seed, trials, start)
 
 
-def padded_trials(trials: int) -> int:
-    """``trials`` rounded up to whole blocks, the count a batch is charged
-    for: a started block costs about as many numpy calls as a full one."""
-    return -(-trials // _TRIAL_BLOCK) * _TRIAL_BLOCK
+def check_runs(k: int, trials: int) -> None:
+    """Charge ``trials`` protocols of ``k`` runs to the work budget, a
+    started block of trials as a full one (it costs as many numpy calls)."""
+    check("runs", k, -(-trials // _TRIAL_BLOCK) * _TRIAL_BLOCK)
 
 
 def _trial_blocks(master_seed: int, trials: int):
@@ -306,6 +306,12 @@ def _xor_span(words: np.ndarray) -> np.ndarray:
     return span
 
 
+def check_oracle(n: int, m: int) -> None:
+    """Charge the distance oracle of an n x m generator to the budget."""
+    check("oracle messages", (2, n))
+    check("oracle word steps", (2, n), (m + 63) // 64)
+
+
 def min_nonzero_weight(generator: np.ndarray) -> int:
     """Minimum Hamming weight over all 2^n - 1 nonzero messages.
 
@@ -320,8 +326,7 @@ def min_nonzero_weight(generator: np.ndarray) -> int:
     if g.ndim != 2:
         raise ValueError("generator must be a 2-d bit matrix")
     n, m = g.shape
-    check("oracle messages", (2, n))
-    check("oracle word steps", (2, n), (m + 63) // 64)
+    check_oracle(n, m)
     columns = _pack_rows(g).T  # one row of n words per 64 code columns
     h = n // 2
     block = max(1, _WEIGHT_BLOCK >> h)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, check
+from .errors import DomainError
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact SI value
 DEFAULT_FIBER_INDEX = 1.468
@@ -158,7 +158,7 @@ def conditional_error_with_noise(model: ImperfectionModel, p_not_equal: float,
         raise DomainError(f"p_not_equal must lie in [0, 1], got {p_not_equal!r}")
     if k < 1 or trials < 1:
         raise DomainError("k and trials must be >= 1")
-    check("runs", k, kernels.padded_trials(trials))
+    kernels.check_runs(k, trials)
     if model.deterministic_source:
         p0, p1 = 0.0, 1.0
     else:

@@ -162,7 +162,7 @@ def run_batch(params: ProtocolParams, x, y, master_seed: int,
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
-    check("runs", params.k, kernels.padded_trials(trials))
+    kernels.check_runs(params.k, trials)
     probs, pn = _port_distribution(params.code, x, y)
     counts = kernels.click_counts(probs, params.k, trials, master_seed,
                                   dtype=np.min_scalar_type(params.k))

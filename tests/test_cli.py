@@ -92,32 +92,42 @@ CHILD_ENV = dict(os.environ,
                  PYTHONPATH=str(Path(qfp.__file__).resolve().parents[1]))
 
 
-def run_child(argv, cwd):
+def run_child(argv, cwd, stdout=subprocess.DEVNULL, stderr=None,
+              timeout=None):
     """Run ``qfp`` in a fresh interpreter; (exit code, seconds, peak MB).
 
-    The peak resident size comes from ``wait4`` on that one child.
+    The peak resident size comes from ``wait4`` on that one child, which
+    is killed once it runs past ``timeout`` seconds.
     """
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "qfp.cli", *argv],
-                            cwd=cwd, env=CHILD_ENV, stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
+                            cwd=cwd, env=CHILD_ENV, stdout=stdout,
+                            stderr=stderr)
+    while True:
+        pid, status, usage = os.wait4(proc.pid, 0 if timeout is None
+                                      else os.WNOHANG)
+        if pid:
+            break
+        if time.perf_counter() - start > timeout:
+            proc.kill()
+        time.sleep(0.01)
     proc.returncode = os.waitstatus_to_exitcode(status)
     return (proc.returncode, time.perf_counter() - start,
             usage.ru_maxrss / 1024)  # ru_maxrss is in KiB on Linux
 
 
 def assert_refused_at_once(argv, cwd, entry):
-    """``qfp argv`` exits 2 within a second, naming the budget ``entry``,
-    with nothing on stdout and no traceback."""
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "qfp.cli", *argv], cwd=cwd,
-                          env=CHILD_ENV, capture_output=True, text=True,
-                          timeout=60)
-    assert time.perf_counter() - start < 1.0
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert f"resource limit: {entry}: " in proc.stderr
-    assert "Traceback" not in proc.stderr
+    """``qfp argv`` exits 2 within a second and under 100 MB, naming the
+    budget ``entry``, with nothing on stdout and no traceback."""
+    out, err = cwd / "refused.out", cwd / "refused.err"
+    with open(out, "wb") as fo, open(err, "wb") as fe:
+        rc, seconds, peak_mb = run_child(argv, cwd, fo, fe, timeout=60)
+    assert rc == 2
+    assert seconds < 1.0 and peak_mb < 100
+    assert out.read_text() == ""
+    stderr = err.read_text()
+    assert f"resource limit: {entry}: " in stderr
+    assert "Traceback" not in stderr
 
 
 def read_csv(path):
@@ -543,8 +553,8 @@ class TestCodesCommand:
         assert "n=2 m=6 t=3" in capsys.readouterr().out
 
 
-# per entry of the work budget: the largest input it admits and the
-# smallest it refuses.  The phase-pair edges are q = 300 and q = 301 in
+# per entry of the work budget: the largest input it admits, then inputs
+# it refuses, the smallest first.  The phase-pair edges are q = 300 and q = 301 in
 # TestRunCommand.
 def _random_export(n, m):
     return ["codes", "export", "--kind", "random", "--n", str(n),
@@ -568,7 +578,10 @@ BUDGET_EDGES = {
          "--out", "c.txt"],
         ["codes", "export", "--kind", "repetition", "--n", "1",
          "--r", str((20 << 20) + 1), "--out", "c.txt"]),
-    "oracle messages": (_random_export(20, 64), _random_export(21, 1)),
+    # the largest generator the entries admit, refused before its stream
+    # is drawn: unpacked, it would take ~1.3 GB
+    "oracle messages": (_random_export(20, 64), _random_export(21, 1),
+                        _random_export(20 << 20, 1)),
     # 2^20 x 1024 words, then 1025
     "oracle word steps": (_random_export(20, 65536),
                           _random_export(20, 65537)),
@@ -583,11 +596,12 @@ class TestWorkBudget:
 
     @pytest.mark.parametrize("entry", sorted(BUDGET_EDGES))
     def test_edges_in_a_child(self, entry, tmp_path):
-        admitted, refused = BUDGET_EDGES[entry]
+        admitted, *refused = BUDGET_EDGES[entry]
         rc, seconds, peak_mb = run_child(admitted, tmp_path)
         assert rc == 0
         assert seconds < 20 and peak_mb < 100
-        assert_refused_at_once(refused, tmp_path, entry)
+        for argv in refused:
+            assert_refused_at_once(argv, tmp_path, entry)
 
 
 class TestConfigFiles:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from qfp import (ProtocolParams, ResourceLimitError, hadamard_code,
                  identity_code, kernels, run_batch)
 from qfp.ecc import random_linear_code
-from qfp.errors import LIMITS, check
+from qfp.errors import LIMITS
 from qfp.protocol import _port_distribution
 
 
@@ -108,32 +108,27 @@ class TestCuts:
         assert kernels._u01_cut(1.0 - 2.0**-53) == (2**53 - 1) << 11
 
 
-def check_runs(k, trials):
-    # the run check of protocol.run_batch and the noisy Monte Carlo
-    check("runs", k, kernels.padded_trials(trials))
-
-
 class TestRunBudget:
     def test_budget_edge(self):
         budget = LIMITS["runs"]
         full = budget // kernels._TRIAL_BLOCK
-        check_runs(1, budget)
-        check_runs(full, kernels._TRIAL_BLOCK)
+        kernels.check_runs(1, budget)
+        kernels.check_runs(full, kernels._TRIAL_BLOCK)
         with pytest.raises(ResourceLimitError, match="runs: "):
-            check_runs(1, budget + 1)
+            kernels.check_runs(1, budget + 1)
         with pytest.raises(ResourceLimitError, match="runs: "):
-            check_runs(full + 1, kernels._TRIAL_BLOCK)
+            kernels.check_runs(full + 1, kernels._TRIAL_BLOCK)
 
     def test_started_block_counts_as_full(self):
         # one trial costs a block's numpy calls per draw, so a huge k is
         # refused long before k x trials reaches the budget
         full = LIMITS["runs"] // kernels._TRIAL_BLOCK
-        check_runs(full, 1)
+        kernels.check_runs(full, 1)
         with pytest.raises(ResourceLimitError):
-            check_runs(full + 1, 1)
+            kernels.check_runs(full + 1, 1)
 
     def test_largest_suite_run_admitted(self):
-        check_runs(10, 10_000_000)
+        kernels.check_runs(10, 10_000_000)
 
 
 def _sha256(array):
