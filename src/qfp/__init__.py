@@ -15,8 +15,7 @@ from .physical import (FeasibleD, ImperfectionModel, NoiseRates, PhotonSplit,
                        conditional_error_with_noise, feasible_d,
                        photon_number_distribution)
 from .protocol import (BatchResult, ProtocolParams, RunResult, Verdict,
-                       amplified_error_bound, batch_report_csv,
-                       batch_report_json, exact_report_row,
+                       amplified_error_bound, batch_rows, exact_report_row,
                        phase_protocol_average_error, phase_protocol_pn,
                        repetitions_needed, run_batch, run_exact,
                        run_sampled)

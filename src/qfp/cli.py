@@ -26,7 +26,8 @@ import sys
 from dataclasses import asdict, fields, replace
 
 from . import classical, ecc, physical, protocol, reports
-from .errors import ConfigError, DomainError, QfpError, ResourceLimitError
+from .errors import (ConfigError, DomainError, QfpError, ResourceLimitError,
+                     check)
 
 
 class _UsageError(QfpError):
@@ -147,9 +148,6 @@ def _default(args, name, value) -> None:
 
 # --- run --------------------------------------------------------------------
 
-PHASE_CSV_FIELDS = ("q", "x", "y", "pN_exact", "referee_error", "avg_error")
-
-
 def _build_code(args) -> ecc.Code:
     if args.code_file is not None:
         return ecc.load_code(args.code_file)
@@ -171,11 +169,6 @@ def _build_code(args) -> ecc.Code:
     raise DomainError(f"unknown code kind {args.code!r}")
 
 
-def _write(path, text) -> None:
-    reports.atomic_write_text(path, text)
-    print(f"wrote {path}")
-
-
 def _reject_out(args) -> None:
     """--out is a usage error for a mode without a table; checked before
     the mode computes or prints anything."""
@@ -184,12 +177,15 @@ def _reject_out(args) -> None:
                           f"table; this mode writes only --json")
 
 
-def _emit(args, payload, fieldnames=None, rows=()) -> None:
-    """Write the mode's table to --out and ``payload`` to --json."""
+def _emit(args, payload, fieldnames=None) -> None:
+    """Write the payload's "rows" to --out and ``payload`` to --json."""
     if args.out:
-        _write(args.out, reports.csv_text(fieldnames, rows))
+        reports.atomic_write_text(
+            args.out, reports.csv_chunks(fieldnames, payload["rows"]))
+        print(f"wrote {args.out}")
     if args.json:
-        _write(args.json, reports.json_chunks(payload))
+        reports.atomic_write_text(args.json, reports.json_chunks(payload))
+        print(f"wrote {args.json}")
 
 
 def cmd_run(args) -> int:
@@ -199,25 +195,16 @@ def cmd_run(args) -> int:
             _require(args, ["phase_x", "phase_y"])
         q = args.q
         table, avg = protocol.phase_protocol_table(q)
-        if args.all_pairs:
-            pairs = [(x, y) for x in range(q) for y in range(q)]
-        else:
+        pairs = range(q * q)
+        if not args.all_pairs:
             protocol.check_symbol(q, args.phase_x, "x")
             protocol.check_symbol(q, args.phase_y, "y")
-            pairs = [(args.phase_x, args.phase_y)]
-        pn_of = table.tolist()
-        rows = []
-        for x, y in pairs:
-            pn = pn_of[x][y]
-            rows.append({
-                "q": q, "x": x, "y": y, "pN_exact": pn,
-                "referee_error": pn if x == y else 1.0 - pn,
-                "avg_error": avg,
-            })
-        payload = {"command": "run", "mode": "phase_protocol", "q": q,
-                   "avg_error": avg, "rows": rows}
+            pairs = [args.phase_x * q + args.phase_y]
         print(f"phase protocol q={q}: average referee error = {avg!r}")
-        _emit(args, payload, PHASE_CSV_FIELDS, rows)
+        _emit(args, {"command": "run", "mode": "phase_protocol", "q": q,
+                     "avg_error": avg,
+                     "rows": protocol.phase_rows(q, table, avg, pairs)},
+              protocol.PHASE_CSV_FIELDS)
         return 0
 
     code = _build_code(args)
@@ -226,12 +213,14 @@ def cmd_run(args) -> int:
         row = protocol.exact_report_row(code, args.x, args.y)
         print(f"exact: pN = {row['pN_exact']!r} verdict = {row['verdict']}")
         _emit(args, {"command": "run", "mode": "exact", "rows": [row]},
-              protocol.RUN_CSV_FIELDS, [row])
+              protocol.RUN_CSV_FIELDS)
         return 0
 
     _default(args, "epsilon", 0.01)
     _default(args, "trials", 1)
     _default(args, "seed", 0)
+    if args.out or args.json:
+        check("report rows", args.trials)
     if args.k is not None:
         params = protocol.ProtocolParams(code.n, code, args.k, args.epsilon)
     else:
@@ -242,16 +231,12 @@ def cmd_run(args) -> int:
     print(f"sampled {batch.trials} trials, k = {params.k}: "
           f"NotEqual fraction = {batch.not_equal_fraction!r} "
           f"(exact pN = {batch.pn_exact!r})")
-    if args.out:
-        _write(args.out, protocol.batch_report_csv(params, args.x, args.y,
-                                                   batch))
-    if args.json:
-        payload = {"command": "run", "mode": "sampled",
-                   "master_seed": batch.master_seed, "k": params.k,
-                   "trials": batch.trials,
-                   "not_equal_fraction": batch.not_equal_fraction}
-        _write(args.json, protocol.batch_report_json(params, args.x, args.y,
-                                                     batch, payload))
+    _emit(args, {"command": "run", "mode": "sampled",
+                 "master_seed": batch.master_seed, "k": params.k,
+                 "trials": batch.trials,
+                 "not_equal_fraction": batch.not_equal_fraction,
+                 "rows": protocol.batch_rows(params, args.x, args.y, batch)},
+          protocol.RUN_CSV_FIELDS)
     return 0
 
 
@@ -282,7 +267,7 @@ def cmd_classical(args) -> int:
                   f"{report.quantum_cost_per_party!r}, "
                   f"breakeven = {report.breakeven}")
         _emit(args, {"command": "classical", "mode": "bounds", "rows": [row]},
-              BOUNDS_CSV_FIELDS, [row])
+              BOUNDS_CSV_FIELDS)
         return 0
 
     if args.breakeven:
@@ -332,7 +317,7 @@ def cmd_classical(args) -> int:
     for i, cells in enumerate(witness["referee"]):
         print(f"  msg {i}: " + "  ".join(cells))
     _emit(args, {"command": "classical", "mode": "brute_force",
-                 "rows": [row], "witness": witness}, SMP_CSV_FIELDS, [row])
+                 "rows": [row], "witness": witness}, SMP_CSV_FIELDS)
     return 0
 
 
@@ -396,12 +381,11 @@ def cmd_feasibility(args) -> int:
                   f"(+- {rates.false_notequal_stderr!r})")
             print(f"abort = {rates.abort_rate!r} "
                   f"(+- {rates.abort_stderr!r})")
-        rows = [_rates_row("dark_count_prob", value, rates)
-                for value, rates in points]
-        payload = {"command": "feasibility", "mode": "noise",
-                   "master_seed": args.seed, "k": args.k,
-                   "trials": args.trials, "pn": args.pn, "rows": rows}
-        _emit(args, payload, NOISE_CSV_FIELDS, rows)
+        _emit(args, {"command": "feasibility", "mode": "noise",
+                     "master_seed": args.seed, "k": args.k,
+                     "trials": args.trials, "pn": args.pn,
+                     "rows": [_rates_row("dark_count_prob", value, rates)
+                              for value, rates in points]}, NOISE_CSV_FIELDS)
         return 0
 
     _reject_out(args)

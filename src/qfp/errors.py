@@ -27,7 +27,7 @@ LIMITS = {
     # k x trials rounded up to whole blocks (kernels.check_runs);
     # 2^30 noisy runs take ~30 s
     "runs": 1 << 30,
-    # q = 300 with --all-pairs --out --json peaks near 90 MB
+    # q = 300 with --all-pairs --out --json peaks near 41 MB in ~0.7 s
     "phase pairs": 300**2,
     # n x m, every code kind: the largest Hadamard generator (n = 20)
     "generator entries": 20 << 20,
@@ -35,6 +35,8 @@ LIMITS = {
     # 2^n x ceil(m / 64) tallied weight words: n = 20, m = 65536 takes ~3 s
     "oracle word steps": 1 << 30,
     "SMP scored pairs": 10**8,  # strategies x q^2 input pairs
+    # sampled trials written by --out or --json: 10^6 take ~1.5 s, ~300 MB
+    "report rows": 1 << 20,
 }
 
 

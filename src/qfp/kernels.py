@@ -167,7 +167,7 @@ def _n_port_cut(probs: np.ndarray) -> int:
     m = probs.shape[0] // 2
     if not np.any(probs[m:] > 0.0):
         return _NEVER
-    return _u01_cut(float(np.cumsum(probs)[m - 1]))
+    return _u01_cut(float(np.cumsum(probs[:m])[-1]))
 
 
 def _add_clicks(seeds: np.ndarray, cut: int, k: int, out: np.ndarray) -> None:

@@ -21,10 +21,8 @@ evaluated for all q^2 symbol pairs in one call.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -92,11 +90,6 @@ class BatchResult:
     n_clicks: np.ndarray
 
     @property
-    def trial_seeds(self) -> np.ndarray:
-        """Substream seed of each trial, derived from ``master_seed``."""
-        return kernels.derive_stream_seeds(self.master_seed, self.trials)
-
-    @property
     def trials(self) -> int:
         return int(self.n_clicks.shape[0])
 
@@ -154,8 +147,8 @@ def run_batch(params: ProtocolParams, x, y, master_seed: int,
               trials: int) -> BatchResult:
     """Sample ``trials`` independent protocols from one master seed.
 
-    Trial i uses the substream seeded with ``trial_seeds[i]``;
-    ``run_sampled`` with that seed reproduces the trial exactly.  Only the
+    Trial i uses the substream seeded with output i + 1 of the master
+    stream; ``run_sampled`` with that seed replays the trial.  Only the
     N-click counts are stored, in the smallest unsigned type that holds k;
     the seeds are derived again whenever they are read.  More runs than
     ``errors.LIMITS["runs"]`` raise ``ResourceLimitError`` first.
@@ -281,68 +274,35 @@ def exact_report_row(code: Code, x, y) -> dict:
     return _run_row(code, None, x, y, pn, verdict.value, None, None)
 
 
-# trials rendered per report chunk; a chunk's text and its encoded copy
-# set a report run's peak memory: 2^12 trials cost ~2 MB more than 2^10
-_ROW_BLOCK = 1 << 10
-_SLOT = "<slot>"  # stands for a per-trial value in a rendered template row
+def batch_rows(params: ProtocolParams, x, y,
+               batch: BatchResult) -> reports.Rows:
+    """Report rows of a batch, one per trial, replayable from its seed:
+    keyed by N-click count, which gives the verdict too, seed last."""
+    def block(start, stop):
+        clicks = batch.n_clicks[start:stop]
+        counts = np.unique(clicks).tolist()
+        verdicts = [(Verdict.NOT_EQUAL if count else Verdict.EQUAL).value
+                    for count in counts]
+        seeds = kernels.derive_stream_seeds(batch.master_seed, stop - start,
+                                            start)
+        return clicks.tolist(), counts, [verdicts, counts], seeds.tolist()
+
+    return reports.Rows(_run_row(params.code, params.k, x, y, batch.pn_exact,
+                                 *[reports.SLOT] * 3), batch.trials, block)
 
 
-def _template_row(params: ProtocolParams, x, y, batch: BatchResult) -> dict:
-    return _run_row(params.code, params.k, x, y, batch.pn_exact,
-                    _SLOT, _SLOT, _SLOT)
+PHASE_CSV_FIELDS = ("q", "x", "y", "pN_exact", "referee_error", "avg_error")
 
 
-def _stream_rows(text: str, encode, batch: BatchResult) -> Iterator[str]:
-    # ``text`` is a whole report holding two template rows and ``encode``
-    # renders one string value in its format.  Both rows agree except at
-    # the slots, so splitting at the rendered slot gives the text before
-    # the first row, the pieces inside a row, the joint between rows and
-    # the text after the last row.  The verdict and the click count both
-    # follow from the count, so a row is its count's prefix and its seed;
-    # prefixes are rendered once per count that occurs, joined to the
-    # seeds one block of trials per chunk.
-    head, verdict_to_count, count_to_seed, joint, _, _, tail = text.split(
-        encode(_SLOT))
-    verdict = {False: encode(Verdict.EQUAL.value),
-               True: encode(Verdict.NOT_EQUAL.value)}
-    glue = {}  # count -> joint + that count's row prefix
-    yield head
-    for start in range(0, batch.trials, _ROW_BLOCK):
-        clicks = batch.n_clicks[start:start + _ROW_BLOCK]
-        for count in np.unique(clicks).tolist():
-            if count not in glue:
-                glue[count] = (f"{joint}{verdict[count > 0]}"
-                               f"{verdict_to_count}{count}{count_to_seed}")
-        pieces = [joint] * (2 * clicks.size)
-        pieces[::2] = map(glue.__getitem__, clicks.tolist())
-        pieces[1::2] = map(str, kernels.derive_stream_seeds(
-            batch.master_seed, clicks.size, start).tolist())
-        if start == 0:  # no joint before the first row
-            pieces[0] = pieces[0][len(joint):]
-        yield "".join(pieces)
-    yield tail
+def phase_rows(q: int, table: np.ndarray, avg: float, pairs) -> reports.Rows:
+    """Report rows of the symbol ``pairs`` (x * q + y for (x, y)) from the
+    ``table`` and ``avg`` of :func:`phase_protocol_table`, keyed by pair."""
+    def block(start, stop):
+        x, y = np.divmod(pairs[start:stop], q)
+        pn = table[x, y]
+        keys = range(stop - start)
+        return (keys, keys, [x.tolist(), y.tolist(), pn.tolist()],
+                np.where(x == y, pn, 1.0 - pn).tolist())
 
-
-def batch_report_csv(params: ProtocolParams, x, y,
-                     batch: BatchResult) -> Iterator[str]:
-    """CSV report of a batch, one row per trial, replayable from its seed.
-
-    Rendered in chunks straight from the batch arrays; the bytes are those
-    of ``reports.csv_text(RUN_CSV_FIELDS, rows)`` over one row per trial.
-    """
-    row = _template_row(params, x, y, batch)
-    return _stream_rows(reports.csv_text(RUN_CSV_FIELDS, [row, row]),
-                        reports.render_value, batch)
-
-
-def batch_report_json(params: ProtocolParams, x, y, batch: BatchResult,
-                      payload: dict) -> Iterator[str]:
-    """JSON report of a batch: ``payload`` with one row per trial, the
-    columns of :func:`batch_report_csv`, under "rows".
-
-    Rendered in chunks like :func:`batch_report_csv`; the bytes are those
-    of ``reports.json_text`` over the payload with its rows.
-    """
-    row = _template_row(params, x, y, batch)
-    return _stream_rows(reports.json_text({**payload, "rows": [row, row]}),
-                        json.dumps, batch)
+    cells = (q, *[reports.SLOT] * 4, avg)
+    return reports.Rows(dict(zip(PHASE_CSV_FIELDS, cells)), len(pairs), block)

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qfp
-from qfp import cli, protocol
+from qfp import cli, reports
 from qfp.cli import main, parse_length, parse_time
 from qfp.errors import LIMITS
 
@@ -92,28 +93,47 @@ CHILD_ENV = dict(os.environ,
                  PYTHONPATH=str(Path(qfp.__file__).resolve().parents[1]))
 
 
+# spawns one command and writes its exit code, wall seconds and peak RSS
+# (KiB, from wait4) to the file descriptor in argv[1]
+_MEASURE = """
+import os, sys, time
+start = time.perf_counter()
+pid = os.posix_spawn(sys.argv[2], sys.argv[2:], os.environ)
+_, status, usage = os.wait4(pid, 0)
+os.write(int(sys.argv[1]), f"{os.waitstatus_to_exitcode(status)} "
+         f"{time.perf_counter() - start} {usage.ru_maxrss}".encode())
+"""
+
+
 def run_child(argv, cwd, stdout=subprocess.DEVNULL, stderr=None,
               timeout=None):
     """Run ``qfp`` in a fresh interpreter; (exit code, seconds, peak MB).
 
-    The peak resident size comes from ``wait4`` on that one child, which
-    is killed once it runs past ``timeout`` seconds.
+    The child is spawned by a small launcher interpreter, not by the test
+    process: Linux carries a parent's high-water RSS into a child across
+    vfork and exec, so a child spawned here would report at least this
+    process's peak.  The launcher and the child are killed once they run
+    past ``timeout`` seconds; the peak is then None.
     """
     start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "qfp.cli", *argv],
-                            cwd=cwd, env=CHILD_ENV, stdout=stdout,
-                            stderr=stderr)
-    while True:
-        pid, status, usage = os.wait4(proc.pid, 0 if timeout is None
-                                      else os.WNOHANG)
-        if pid:
-            break
-        if time.perf_counter() - start > timeout:
-            proc.kill()
-        time.sleep(0.01)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    return (proc.returncode, time.perf_counter() - start,
-            usage.ru_maxrss / 1024)  # ru_maxrss is in KiB on Linux
+    read, write = os.pipe()
+    proc = subprocess.Popen(
+        [sys.executable, "-I", "-S", "-c", _MEASURE, str(write),
+         sys.executable, "-m", "qfp.cli", *argv], cwd=cwd, env=CHILD_ENV,
+        stdout=stdout, stderr=stderr, pass_fds=(write,),
+        start_new_session=True)
+    os.close(write)
+    try:
+        proc.wait(timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    with os.fdopen(read) as fh:
+        report = fh.read().split()
+    if not report:
+        return proc.returncode, time.perf_counter() - start, None
+    rc, seconds, peak_kib = report
+    return int(rc), float(seconds), int(peak_kib) / 1024
 
 
 def assert_refused_at_once(argv, cwd, entry):
@@ -191,14 +211,24 @@ class TestRunCommand:
                  "--phase-y", "1"], tmp_path, "phase pairs")
 
     def test_phase_worst_admitted_case_memory(self, tmp_path):
-        # the largest q the pair budget admits, every row in both reports
+        # the largest q the pair budget admits, every row in both reports,
+        # rendered a block at a time from the pN table
         q = math.isqrt(LIMITS["phase pairs"])
         rc, seconds, peak_mb = run_child(
             ["run", "--phase-protocol", "--q", str(q), "--all-pairs",
              "--out", "p.csv", "--json", "p.json"], tmp_path)
         assert rc == 0
         assert (tmp_path / "p.csv").read_bytes().count(b"\n") == q * q + 1
-        assert peak_mb < 100 and seconds < 10
+        assert peak_mb < 50 and seconds < 10
+
+    def test_phase_without_reports_memory(self, tmp_path):
+        # no report file: the pN table alone, no row is built
+        q = math.isqrt(LIMITS["phase pairs"])
+        rc, _, peak_mb = run_child(
+            ["run", "--phase-protocol", "--q", str(q), "--all-pairs"],
+            tmp_path)
+        assert rc == 0
+        assert peak_mb < 50
 
     def test_sampled_deterministic_bytes(self, tmp_path):
         argv = ["run", "--code", "hadamard", "--n", "4", "--x", "0000",
@@ -225,21 +255,27 @@ class TestRunCommand:
     def test_sampled_report_goldens(self, tmp_path, monkeypatch, name):
         argv, block, csv_sha, json_sha = SAMPLED_GOLDENS[name]
         if block is not None:
-            monkeypatch.setattr(protocol, "_ROW_BLOCK", block)
+            monkeypatch.setattr(reports, "_ROW_BLOCK", block)
         out, jpath = tmp_path / "run.csv", tmp_path / "run.json"
         assert main(["run", *argv, "--out", str(out),
                      "--json", str(jpath)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
         assert hashlib.sha256(jpath.read_bytes()).hexdigest() == json_sha
 
-    def test_no_report_files_render_no_rows(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("argv, printed", [
+        (["--code", "hadamard", "--n", "4", "--x", "0000", "--y", "0001",
+          "--k", "3", "--trials", "100"], "sampled 100 trials"),
+        (["--phase-protocol", "--q", "300", "--all-pairs"],
+         "phase protocol q=300"),
+    ], ids=["sampled", "phase"])
+    def test_no_report_files_render_no_rows(self, monkeypatch, capsys, argv,
+                                            printed):
         def refuse(*args):
             raise AssertionError("rows rendered without an output file")
 
-        monkeypatch.setattr(protocol, "_stream_rows", refuse)
-        assert main(["run", "--code", "hadamard", "--n", "4", "--x", "0000",
-                     "--y", "0001", "--k", "3", "--trials", "100"]) == 0
-        assert "sampled 100 trials" in capsys.readouterr().out
+        monkeypatch.setattr(reports, "_stream", refuse)
+        assert main(["run", *argv]) == 0
+        assert printed in capsys.readouterr().out
 
     def test_report_memory_stays_flat_in_trials(self, tmp_path):
         # rows are rendered a block at a time, so peak memory is the
@@ -283,6 +319,16 @@ class TestRunCommand:
             tmp_path)
         assert rc == 0
         assert peak_mb < 120
+
+    def test_sampled_generator_at_the_limit_memory(self, tmp_path):
+        # a generator at the "generator entries" limit: the N-port cut
+        # cumulates only the E-port half of the 2m per-mode probabilities
+        rc, _, peak_mb = run_child(
+            ["run", "--code", "repetition", "--n", "1", "--r",
+             str(LIMITS["generator entries"]), "--x", "1", "--y", "0",
+             "--k", "1"], tmp_path)
+        assert rc == 0
+        assert peak_mb < 600
 
     def test_sampled_memory_flat_in_trials(self, tmp_path):
         # trials are sampled a block at a time and no seeds are stored:
@@ -565,9 +611,9 @@ def _smp(q):
     return ["classical", "--q", str(q), "--alice", "1", "--bob", "1"]
 
 
-def _sampled(trials):
+def _sampled(trials, k=65536, *reports):
     return ["run", "--code", "hadamard", "--n", "4", "--x", "0000",
-            "--y", "0110", "--k", "65536", "--trials", str(trials)]
+            "--y", "0110", "--k", str(k), "--trials", str(trials), *reports]
 
 
 BUDGET_EDGES = {
@@ -587,6 +633,11 @@ BUDGET_EDGES = {
                           _random_export(20, 65537)),
     # 2 strategies x 7071^2 pairs, just under 10^8
     "SMP scored pairs": (_smp(7071), _smp(7072)),
+    # 2^20 trials with both files; a run without them is not charged
+    "report rows": (
+        _sampled(1 << 20, 1, "--out", "r.csv", "--json", "r.json"),
+        _sampled((1 << 20) + 1, 1, "--out", "r.csv", "--json", "r.json"),
+        _sampled((1 << 20) + 1, 1, "--json", "r.json")),
 }
 
 
@@ -600,8 +651,16 @@ class TestWorkBudget:
         rc, seconds, peak_mb = run_child(admitted, tmp_path)
         assert rc == 0
         assert seconds < 20 and peak_mb < 100
-        for argv in refused:
-            assert_refused_at_once(argv, tmp_path, entry)
+        for i, argv in enumerate(refused):
+            cwd = tmp_path / f"refused{i}"
+            cwd.mkdir()
+            assert_refused_at_once(argv, cwd, entry)
+            # nothing written but the captured output
+            assert len(list(cwd.iterdir())) == 2
+
+    def test_run_without_reports_is_not_charged_for_rows(self, tmp_path):
+        rc, _, _ = run_child(_sampled((1 << 20) + 1, 1), tmp_path)
+        assert rc == 0
 
 
 class TestConfigFiles:

@@ -103,6 +103,16 @@ GOLDENS = {
          "38f1c2518260878fbf616a4e5cf2adb5cac3dce5885a4e68e4d74ada13f6549d",
          "p.json":
          "ff10ef8853f76abf2df385de69d577464026d9b924ac504b1f6d53b3fe3e4c81"}),
+    # the largest table the pair budget admits, 90000 rows in each file
+    "run_phase_all_pairs_300": (
+        ["run", "--phase-protocol", "--q", "300", "--all-pairs",
+         "--out", "p.csv", "--json", "p.json"],
+        {"stdout":
+         "9427783c8248d7161761f57066122272a6e6c9847851dc9cea635ca5e6e68b62",
+         "p.csv":
+         "55d18d31097fd83a7eaff17830b2024dae4f1026717ac5927790b18a0de3254f",
+         "p.json":
+         "4f3dc7504feabaf2955050475c928ed59c4a2246567e11fbd8b3369882d1c86e"}),
     "classical_smp": (
         ["classical", "--q", "3", "--alice", "3", "--bob", "2",
          "--out", "c.csv", "--json", "c.json"],

@@ -12,14 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfp import (DimensionError, DomainError, ProtocolParams, Verdict,
-                 amplified_error_bound, batch_report_csv, batch_report_json,
-                 bits_to_hex, encode, exact_report_row, hadamard_code,
+                 amplified_error_bound, batch_rows, bits_to_hex, encode, exact_report_row, hadamard_code,
                  hamming_distance, identity_code, phase_protocol_average_error,
                  phase_protocol_pn, random_linear_code, repetition_code,
                  repetitions_needed, run_batch, run_exact, run_sampled)
-from qfp import protocol, reports
+from qfp import kernels, protocol, reports
 from qfp.errors import LIMITS, ResourceLimitError
-from qfp.protocol import RUN_CSV_FIELDS, BatchResult, phase_protocol_table
+from qfp.protocol import (PHASE_CSV_FIELDS, RUN_CSV_FIELDS, BatchResult,
+                          phase_protocol_table, phase_rows)
 
 
 def random_message(rng, n):
@@ -237,9 +237,9 @@ class TestRunBatch:
         code = hadamard_code(4)
         params = ProtocolParams(4, code, 6, 0.01)
         batch = run_batch(params, "0000", "0111", master_seed=5, trials=25)
+        seeds = kernels.derive_stream_seeds(5, 25)
         for i in range(25):
-            single = run_sampled(params, "0000", "0111",
-                                 int(batch.trial_seeds[i]))
+            single = run_sampled(params, "0000", "0111", int(seeds[i]))
             assert single.n_clicks_not_equal == int(batch.n_clicks[i])
 
     def test_not_equal_frequency_within_3_sigma(self):
@@ -416,7 +416,8 @@ class TestReportRows:
         code = hadamard_code(4)
         params = ProtocolParams(4, code, 4, 0.01)
         batch = run_batch(params, "0011", "0001", master_seed=21, trials=5)
-        text = "".join(batch_report_csv(params, "0011", "0001", batch))
+        text = "".join(reports.csv_chunks(
+            RUN_CSV_FIELDS, batch_rows(params, "0011", "0001", batch)))
         reader = csv.reader(io.StringIO(text))
         header = next(reader)
         rows = [dict(zip(header, cells)) for cells in reader]
@@ -436,7 +437,27 @@ def _dict_rows(params, x, y, batch):
         "pN_exact": batch.pn_exact,
         "verdict": "NotEqual" if clicks else "Equal",
         "n_clicks_N": int(clicks), "seed": int(seed),
-    } for clicks, seed in zip(batch.n_clicks, batch.trial_seeds)]
+    } for clicks, seed in zip(batch.n_clicks, kernels.derive_stream_seeds(
+        batch.master_seed, batch.trials))]
+
+
+def _phase_dict_rows(q, pairs):
+    """One phase-protocol report row per (x, y) in ``pairs``, each pN
+    evaluated on its own."""
+    avg = phase_protocol_average_error(q)
+    rows = []
+    for x, y in pairs:
+        pn = phase_protocol_pn(q, x, y)
+        rows.append({"q": q, "x": x, "y": y, "pN_exact": pn,
+                     "referee_error": pn if x == y else 1.0 - pn,
+                     "avg_error": avg})
+    return rows
+
+
+def _rendered(fieldnames, payload, rows):
+    """CSV and JSON text of a streamed table, ``rows`` under "rows"."""
+    return ("".join(reports.csv_chunks(fieldnames, rows)),
+            "".join(reports.json_chunks({**payload, "rows": rows})))
 
 
 class TestStreamedReports:
@@ -448,21 +469,21 @@ class TestStreamedReports:
     ])
     def test_bytes_equal_dict_row_rendering(self, monkeypatch, block, code,
                                             x, y, trials):
-        monkeypatch.setattr(protocol, "_ROW_BLOCK", block)
+        monkeypatch.setattr(reports, "_ROW_BLOCK", block)
         params = ProtocolParams(code.n, code, 3, 0.01)
         batch = run_batch(params, x, y, master_seed=trials, trials=trials)
         rows = _dict_rows(params, x, y, batch)
         payload = {"command": "run", "mode": "sampled", "trials": trials}
-        assert "".join(batch_report_csv(params, x, y, batch)) == (
-            reports.csv_text(RUN_CSV_FIELDS, rows))
-        assert "".join(batch_report_json(params, x, y, batch, payload)) == (
+        assert _rendered(RUN_CSV_FIELDS, payload,
+                         batch_rows(params, x, y, batch)) == (
+            reports.csv_text(RUN_CSV_FIELDS, rows),
             reports.json_text({**payload, "rows": rows}))
 
     @pytest.mark.parametrize("block", [2, 1 << 12])
     def test_huge_k_renders_only_counts_that_occur(self, monkeypatch, block):
         # counts up to k = 2^40 in a batch built directly: the per-count
         # row prefixes cover the counts present, never 0..k
-        monkeypatch.setattr(protocol, "_ROW_BLOCK", block)
+        monkeypatch.setattr(reports, "_ROW_BLOCK", block)
         k = 2**40
         code = hadamard_code(4)
         params = ProtocolParams(code.n, code, k, 0.01)
@@ -471,9 +492,27 @@ class TestStreamedReports:
         rows = _dict_rows(params, "0000", "0110", batch)
         payload = {"command": "run", "mode": "sampled", "k": k}
         start = time.perf_counter()
-        csv_text = "".join(batch_report_csv(params, "0000", "0110", batch))
-        json_text = "".join(batch_report_json(params, "0000", "0110", batch,
-                                              payload))
+        csv_text, json_text = _rendered(
+            RUN_CSV_FIELDS, payload,
+            batch_rows(params, "0000", "0110", batch))
         assert time.perf_counter() - start < 1.0
         assert csv_text == reports.csv_text(RUN_CSV_FIELDS, rows)
         assert json_text == reports.json_text({**payload, "rows": rows})
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 1 << 10])
+    @pytest.mark.parametrize("q", [2, 3, 7])
+    def test_phase_tables_equal_dict_row_rendering(self, monkeypatch, block,
+                                                   q):
+        monkeypatch.setattr(reports, "_ROW_BLOCK", block)
+        table, avg = phase_protocol_table(q)
+        payload = {"command": "run", "mode": "phase_protocol", "q": q,
+                   "avg_error": avg}
+        every = [(x, y) for x in range(q) for y in range(q)]
+        for indices, pairs in [(range(q * q), every),
+                               ([q + q - 1], [(1, q - 1)]),
+                               ([q + 1], [(1, 1)])]:
+            rows = _phase_dict_rows(q, pairs)
+            assert _rendered(PHASE_CSV_FIELDS, payload,
+                             phase_rows(q, table, avg, indices)) == (
+                reports.csv_text(PHASE_CSV_FIELDS, rows),
+                reports.json_text({**payload, "rows": rows}))
