@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,6 +24,9 @@ from . import kernels
 from .ecc import justesen_nu
 from .errors import DomainError, check
 from .protocol import Verdict, check_target_error, repetitions_needed
+
+if TYPE_CHECKING:  # fractions loads decimal, so it is imported on use
+    from fractions import Fraction
 
 # (x, y) input pairs per step of the witness re-score
 _RESCORE_PAIRS = 1 << 20
@@ -102,6 +105,8 @@ def brute_force_smp(q: int, alice_msgs: int, bob_msgs: int) -> SmpSearchResult:
     (misclassified pairs) / q^2.  The witness is re-scored independently
     of the search kernel before being returned.
     """
+    from fractions import Fraction
+
     if q < 1 or alice_msgs < 1 or bob_msgs < 1:
         raise DomainError("alphabet and message counts must be >= 1")
     # every strategy is scored on the q^2 input pairs

@@ -20,10 +20,9 @@ domain error, 2 resource limit.
 from __future__ import annotations
 
 import argparse
-import configparser
 import re
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 
 from . import classical, ecc, physical, protocol, reports
 from .errors import (ConfigError, DomainError, QfpError, ResourceLimitError,
@@ -96,6 +95,8 @@ def _config_types(parser: argparse.ArgumentParser, command: str) -> dict:
 
 
 def _load_config_section(path: str, section: str, types: dict) -> dict:
+    import configparser  # only a run with --config needs it
+
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -363,10 +364,9 @@ def cmd_feasibility(args) -> int:
         # stdout empty
         values = (args.sweep_dark if args.sweep_dark is not None
                   else [model.dark_count_prob])
-        points = [(value, physical.conditional_error_with_noise(
-                      replace(model, dark_count_prob=value), args.pn, args.k,
-                      args.trials, args.seed, slots=args.slots))
-                  for value in values]
+        points = list(zip(values, physical.dark_count_sweep(
+            model, values, args.pn, args.k, args.trials, args.seed,
+            slots=args.slots)))
         print(f"master_seed = {args.seed}")
         if args.sweep_dark is not None:
             for value, rates in points:

@@ -26,34 +26,73 @@ class CodeKind(enum.Enum):
     RANDOM_LINEAR = "RandomLinear"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Code:
     """A length-m binary encoding of n-bit messages with min distance t.
 
-    All kinds are linear: ``encode(x) = x . G`` over GF(2) with the stored
-    ``(n, m)`` generator, so the minimum distance equals the minimum weight
-    of a nonzero codeword.
+    All kinds are linear: ``encode(x) = x . G`` over GF(2) with an
+    ``(n, m)`` generator G, so the minimum distance equals the minimum
+    weight of a nonzero codeword.  A code made without a generator is an
+    identity, repetition or Hadamard code of a shape its kind's formula
+    has: each row of G is computed from the formula when it is needed, and
+    :attr:`generator` builds the whole matrix only when it is read.
     """
 
     n: int
     m: int
     t: int
     kind: CodeKind
-    generator: np.ndarray
 
-    def __post_init__(self):
-        # a uint8 generator is taken without a copy and made read-only
-        gen = np.asarray(self.generator, dtype=np.uint8)
-        if gen.shape != (self.n, self.m):
+    def __init__(self, n: int, m: int, t: int, kind: CodeKind,
+                 generator: np.ndarray | None = None):
+        for name, value in zip(("n", "m", "t", "kind"), (n, m, t, kind)):
+            object.__setattr__(self, name, value)
+        if generator is not None:
+            # a uint8 generator is taken without a copy and made read-only
+            generator = np.asarray(generator, dtype=np.uint8)
+            if generator.shape != (n, m):
+                raise DimensionError(
+                    f"generator shape {generator.shape} != ({n}, {m})"
+                )
+            if generator.size and generator.max() > 1:
+                raise DomainError("generator entries must be bits")
+            generator.setflags(write=False)
+        elif not _has_formula(kind, n, m):
             raise DimensionError(
-                f"generator shape {gen.shape} != ({self.n}, {self.m})"
+                f"no {kind.value} generator formula of shape ({n}, {m})"
             )
-        if gen.size and gen.max() > 1:
-            raise DomainError("generator entries must be bits")
-        if not 0 <= self.t <= self.m:
-            raise DomainError(f"declared distance {self.t} outside 0..{self.m}")
-        gen.setflags(write=False)
-        object.__setattr__(self, "generator", gen)
+        if not 0 <= t <= m:
+            raise DomainError(f"declared distance {t} outside 0..{m}")
+        object.__setattr__(self, "_generator", generator)
+
+    @property
+    def generator(self) -> np.ndarray:
+        """The read-only ``(n, m)`` generator, built on first read."""
+        if self._generator is None:
+            gen = np.zeros((self.n, self.m), dtype=np.uint8)
+            for i, row in enumerate(gen):
+                self._xor_row(i, row)
+            gen.setflags(write=False)
+            object.__setattr__(self, "_generator", gen)
+        return self._generator
+
+    def row(self, i: int) -> np.ndarray:
+        """Row ``i`` of the generator, without building the others."""
+        word = np.zeros(self.m, dtype=np.uint8)
+        self._xor_row(i, word)
+        return word
+
+    def _xor_row(self, i: int, word: np.ndarray) -> None:
+        # word ^= row i of the generator, in place
+        if self._generator is not None:
+            word ^= self._generator[i]
+        elif self.kind is CodeKind.IDENTITY:
+            word[i] ^= 1
+        elif self.kind is CodeKind.REPETITION:
+            r = self.m // self.n
+            word[i * r:(i + 1) * r] ^= 1
+        else:  # Hadamard: bit i of z is 1 on every second run of 2^i
+            word.reshape(-1, 2, 1 << i)[:, 1] ^= 1
 
     @property
     def relative_distance(self) -> float:
@@ -91,15 +130,19 @@ def bits_to_hex(bits) -> str:
 
 
 def encode(code: Code, x) -> np.ndarray:
-    """Codeword of message ``x`` (XOR of the generator rows selected by x)."""
+    """Codeword of message ``x`` (XOR of the generator rows selected by x).
+
+    Each row is XORed into one m-byte word as it is computed, so a code
+    without a stored generator encodes in O(m) memory.
+    """
     xv = as_bits(x)
     if xv.shape[0] != code.n:
         raise DimensionError(
             f"message length {xv.shape[0]} != code.n = {code.n}"
         )
     word = np.zeros(code.m, dtype=np.uint8)
-    for i in np.flatnonzero(xv):  # one m-byte word; no copy of the rows
-        word ^= code.generator[i]
+    for i in np.flatnonzero(xv):
+        code._xor_row(i, word)
     return word
 
 
@@ -115,7 +158,7 @@ def identity_code(n: int) -> Code:
     if n < 1:
         raise DomainError("n must be >= 1")
     check("generator entries", n, n)
-    return Code(n, n, 1, CodeKind.IDENTITY, np.eye(n, dtype=np.uint8))
+    return Code(n, n, 1, CodeKind.IDENTITY)
 
 
 def repetition_code(n: int, r: int) -> Code:
@@ -124,10 +167,7 @@ def repetition_code(n: int, r: int) -> Code:
     if n < 1 or r < 1:
         raise DomainError("n and r must be >= 1")
     check("generator entries", n, n * r)
-    gen = np.zeros((n, n * r), dtype=np.uint8)
-    for i in range(n):
-        gen[i, i * r:(i + 1) * r] = 1
-    return Code(n, n * r, r, CodeKind.REPETITION, gen)
+    return Code(n, n * r, r, CodeKind.REPETITION)
 
 
 def hadamard_code(n: int) -> Code:
@@ -140,10 +180,7 @@ def hadamard_code(n: int) -> Code:
     if n < 1:
         raise DomainError("n must be >= 1")
     check("generator entries", n, (2, n))
-    gen = np.zeros((n, 1 << n), dtype=np.uint8)
-    for j in range(n):  # bit j of z is 1 on every second run of 2^j
-        gen[j].reshape(-1, 2, 1 << j)[:, 1] = 1
-    return Code(n, 1 << n, 1 << (n - 1), CodeKind.HADAMARD, gen)
+    return Code(n, 1 << n, 1 << (n - 1), CodeKind.HADAMARD)
 
 
 def random_linear_code(n: int, m: int, seed: int) -> Code:
@@ -196,8 +233,8 @@ def save_code(code: Code, dest) -> None:
     fh = open(dest, "w", encoding="utf-8", newline="") if own else dest
     try:
         fh.write(f"{code.n} {code.m} {code.t} {code.kind.value}\n")
-        for row in code.generator:
-            fh.write(bits_to_string(row) + "\n")
+        for i in range(code.n):
+            fh.write(bits_to_string(code.row(i)) + "\n")
     finally:
         if own:
             fh.close()
@@ -216,10 +253,11 @@ def load_code(src) -> Code:
     if kind is CodeKind.RANDOM_LINEAR:
         return Code(n, m, t, kind, gen)
     canonical = _canonical_code(kind, n, m)
-    # compared row by row: a whole-matrix comparison would allocate a
-    # third generator-sized array
+    # compared row by row with the formula, so the constructed code never
+    # builds its generator
     if (canonical is None or canonical.t != t
-            or not all(map(np.array_equal, canonical.generator, gen))):
+            or not all(np.array_equal(canonical.row(i), row)
+                       for i, row in enumerate(gen))):
         raise CodeFormatError(
             f"not the {kind.value} code with n={n}, m={m}: the generator "
             f"or the distance t={t} differs from the construction"
@@ -268,12 +306,23 @@ def _read_generator(fh) -> tuple[int, int, int, CodeKind, np.ndarray]:
     return n, m, t, kind, gen.reshape(n, m)
 
 
+def _has_formula(kind: CodeKind, n: int, m: int) -> bool:
+    """True when ``kind`` has a generator formula of shape (n, m)."""
+    if n < 1 or m < 1:
+        return False
+    return {CodeKind.IDENTITY: m == n,
+            CodeKind.REPETITION: m % n == 0,
+            # m.bit_length() first: 1 << n is not formed for a huge n
+            CodeKind.HADAMARD: m.bit_length() == n + 1 and m == 1 << n,
+            }.get(kind, False)
+
+
 def _canonical_code(kind: CodeKind, n: int, m: int) -> Code | None:
     """The constructed code of an analytic kind with shape (n, m), if any."""
-    if kind is CodeKind.IDENTITY and m == n:
+    if not _has_formula(kind, n, m):
+        return None
+    if kind is CodeKind.IDENTITY:
         return identity_code(n)
-    if kind is CodeKind.REPETITION and m % n == 0:
+    if kind is CodeKind.REPETITION:
         return repetition_code(n, m // n)
-    if kind is CodeKind.HADAMARD and m == 1 << n:
-        return hadamard_code(n)
-    return None
+    return hadamard_code(n)

@@ -103,11 +103,12 @@ def check_runs(k: int, trials: int) -> None:
     check("runs", k, -(-trials // _TRIAL_BLOCK) * _TRIAL_BLOCK)
 
 
-def _trial_blocks(master_seed: int, trials: int):
-    # (start, substream seeds) of each block of trials, in trial order
+def _trial_blocks(master_seed: int, trials: int, first: int = 0):
+    # (offset, substream seeds) of each block of trials first .. first +
+    # trials - 1, in trial order; offset counts from trial ``first``
     for start in range(0, trials, _TRIAL_BLOCK):
         count = min(_TRIAL_BLOCK, trials - start)
-        yield start, derive_stream_seeds(master_seed, count, start)
+        yield start, derive_stream_seeds(master_seed, count, first + start)
 
 
 _ALWAYS, _NEVER = 0, 1 << 64  # cuts every output passes / none reaches
@@ -231,8 +232,9 @@ def _dark_count_cdf(n: int, p: float) -> np.ndarray:
 
 
 def noise_verdicts(p_zero: float, p_one: float, p_survive: float,
-                   p_click_n: float, dark_prob: float, dark_slots: int,
-                   k: int, trials: int, master_seed: int) -> np.ndarray:
+                   p_click_n: float, dark_prob, dark_slots: int,
+                   k: int, trials: int, master_seed: int,
+                   first: int = 0) -> np.ndarray:
     """Simulate ``trials`` noisy k-run protocols; verdict codes per trial.
 
     Per run: the source emits 0 / 1 / >=2 photons with probabilities
@@ -244,21 +246,30 @@ def noise_verdicts(p_zero: float, p_one: float, p_survive: float,
     several detections, or a multi-photon pulse) is dropped.  Verdict per
     trial: 0 = Equal (kept runs, none N), 1 = NotEqual (some kept run N),
     2 = abort (no run kept).
+
+    ``dark_prob`` is one probability, or a sequence of them for a sweep:
+    then row ``i`` of the result holds the verdicts of ``dark_prob[i]``,
+    all rows from one pass of draws, each output compared with every
+    row's cuts.  The trials are ``first .. first + trials - 1`` of the
+    master stream, so a run can be evaluated a range of trials at a time.
     """
     photon = [_u01_cut(p_zero), _u01_cut(p_zero + p_one)]
     survive = [_u01_cut(float(p_survive))]
     port = [_u01_cut(float(p_click_n))]
     # a verdict only tells 0, 1 and >= 2 dark counts apart, so counts are
     # capped at 2: the count is the number of the table's first
-    # min(slots, 2) entries that the draw reaches
+    # min(slots, 2) entries that the draw reaches; ``dark`` holds those
+    # cuts of every probability in turn, ``w`` per probability
     dark_slots = int(dark_slots)
-    dark_cdf = _dark_count_cdf(dark_slots, float(dark_prob))
-    dark = [_u01_cut(c) for c in dark_cdf[:min(dark_slots, 2)]]
-    verdicts = np.empty(trials, dtype=np.uint8)
-    for start, seeds in _trial_blocks(master_seed, trials):
+    w = min(dark_slots, 2)
+    dark_probs = np.ravel(dark_prob)
+    dark = [_u01_cut(c) for p in dark_probs
+            for c in _dark_count_cdf(dark_slots, float(p))[:w]]
+    verdicts = np.empty((dark_probs.size, trials), dtype=np.uint8)
+    for start, seeds in _trial_blocks(master_seed, trials, first):
         draws = _Draws(seeds)
-        kept = np.zeros(seeds.shape[0], dtype=np.bool_)
-        any_n = np.zeros(seeds.shape[0], dtype=np.bool_)
+        kept = np.zeros((dark_probs.size, seeds.shape[0]), dtype=np.bool_)
+        any_n = np.zeros_like(kept)
         for run in range(int(k)):
             # five draws per run in this order; reordering changes every
             # verdict
@@ -267,17 +278,22 @@ def noise_verdicts(p_zero: float, p_one: float, p_survive: float,
             [lost] = draws.at_least(j + 2, survive)
             [port_e] = draws.at_least(j + 3, port)
             signal = emitted & ~multi & ~lost
-            tot_e = (signal & port_e).astype(np.uint8)
-            tot_n = (signal & ~port_e).astype(np.uint8)
-            for dark_e in draws.at_least(j + 4, dark):
-                tot_e = tot_e + dark_e
-            for dark_n in draws.at_least(j + 5, dark):
-                tot_n = tot_n + dark_n
-            valid = ~multi & (tot_e + tot_n == 1)
-            kept |= valid
-            any_n |= valid & (tot_n == 1)
-        verdicts[start:start + seeds.shape[0]] = np.where(kept, any_n, 2)
-    return verdicts
+            signal_e = (signal & port_e).astype(np.uint8)
+            signal_n = (signal & ~port_e).astype(np.uint8)
+            single = ~multi
+            dark_e = draws.at_least(j + 4, dark)
+            dark_n = draws.at_least(j + 5, dark)
+            for i in range(dark_probs.size):
+                tot_e, tot_n = signal_e, signal_n
+                for fired in dark_e[i * w:(i + 1) * w]:
+                    tot_e = tot_e + fired
+                for fired in dark_n[i * w:(i + 1) * w]:
+                    tot_n = tot_n + fired
+                valid = single & (tot_e + tot_n == 1)
+                kept[i] |= valid
+                any_n[i] |= valid & (tot_n == 1)
+        verdicts[:, start:start + seeds.shape[0]] = np.where(kept, any_n, 2)
+    return verdicts if np.ndim(dark_prob) else verdicts[0]
 
 
 # ---------------------------------------------------------------------------

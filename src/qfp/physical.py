@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -130,7 +130,7 @@ class NoiseRates:
     abort_stderr: float
 
 
-_TALLY_BLOCK = 1 << 16  # verdicts counted per bincount call
+_TALLY_BLOCK = 1 << 14  # trials drawn and tallied per kernel call
 
 
 def _rate(count: int, trials: int) -> tuple[float, float]:
@@ -154,6 +154,22 @@ def conditional_error_with_noise(model: ImperfectionModel, p_not_equal: float,
     fiber slot count implied by the model geometry.  More runs than
     ``errors.LIMITS["runs"]`` raise ``ResourceLimitError`` first.
     """
+    [rates] = dark_count_sweep(model, [model.dark_count_prob], p_not_equal,
+                               k, trials, seed, slots)
+    return rates
+
+
+def dark_count_sweep(model: ImperfectionModel, dark_probs, p_not_equal: float,
+                     k: int, trials: int, seed: int,
+                     slots: int | None = None) -> list[NoiseRates]:
+    """:func:`conditional_error_with_noise` of ``model`` at each dark count
+    probability in ``dark_probs``, all from one pass of draws.
+
+    Every value is checked before any run is drawn, and the runs are
+    charged to the work budget once, since the points share their draws.
+    """
+    for dark in dark_probs:  # checked as the model checks it
+        replace(model, dark_count_prob=dark)
     if not 0.0 <= p_not_equal <= 1.0:
         raise DomainError(f"p_not_equal must lie in [0, 1], got {p_not_equal!r}")
     if k < 1 or trials < 1:
@@ -167,16 +183,24 @@ def conditional_error_with_noise(model: ImperfectionModel, p_not_equal: float,
         slots = max(feasible_d(model).d_fiber, 0)
     elif not 0 <= slots <= sys.float_info.max:
         raise DomainError(f"slots must lie in 0..float max, got {slots}")
-    verdicts = kernels.noise_verdicts(
-        p0, p1, model.transmission * model.detector_efficiency,
-        p_not_equal, model.dark_count_prob, slots, k, trials, seed,
-    )
-    # tallied a block at a time: bincount widens its input to intp
-    tally = sum(np.bincount(verdicts[start:start + _TALLY_BLOCK],
-                            minlength=3)
-                for start in range(0, trials, _TALLY_BLOCK))
-    n_equal, n_not_equal, n_abort = map(int, tally)
+    # verdicts are drawn and tallied a range of trials at a time, so only
+    # one range of them is held, whatever the trial count
+    tally = np.zeros((len(dark_probs), 3), dtype=np.int64)
+    for first in range(0, trials, _TALLY_BLOCK):
+        verdicts = kernels.noise_verdicts(
+            p0, p1, model.transmission * model.detector_efficiency,
+            p_not_equal, dark_probs, slots, k,
+            min(_TALLY_BLOCK, trials - first), seed, first,
+        )
+        for counts, row in zip(tally, verdicts):
+            counts += np.bincount(row, minlength=3)
     truth_equal = p_not_equal == 0.0
+    return [_rates(trials, truth_equal, *map(int, counts))
+            for counts in tally]
+
+
+def _rates(trials: int, truth_equal: bool, n_equal: int, n_not_equal: int,
+           n_abort: int) -> NoiseRates:
     fe, fe_se = (0.0, 0.0) if truth_equal else _rate(n_equal, trials)
     fn, fn_se = _rate(n_not_equal, trials) if truth_equal else (0.0, 0.0)
     ab, ab_se = _rate(n_abort, trials)

@@ -228,19 +228,23 @@ def phase_protocol_table(q: int) -> tuple[np.ndarray, float]:
 
     Returns a read-only ``(q, q)`` array whose entry ``[x, y]`` equals
     ``phase_protocol_pn(q, x, y)``, and the average of
-    :func:`phase_protocol_average_error`, both from one interferometer
-    call over all q^2 pairs.  More pairs than ``errors.LIMITS["phase pairs"]``
-    raise ``ResourceLimitError`` before anything is allocated.
+    :func:`phase_protocol_average_error`.  The table is evaluated one x
+    row at a time, so no temporary outgrows a row.  More pairs than
+    ``errors.LIMITS["phase pairs"]`` raise ``ResourceLimitError`` before
+    anything is allocated.
     """
     _check_alphabet(q)
     check("phase pairs", (q, 2))
     symbols = np.arange(q)
-    pn = interferometer(_symbol_phases(q, np.repeat(symbols, q),
-                                       np.tile(symbols, q)), 1)[1]
-    table = pn.reshape(q, q)
-    # 1 - pN over x != y in x-major order, summed left to right
-    unequal = 1.0 - table[~np.eye(q, dtype=bool)]
-    total = float(np.cumsum(unequal)[-1])
+    table = np.empty((q, q))
+    total = 0.0
+    for x in range(q):
+        table[x] = interferometer(_symbol_phases(q, np.full(q, x), symbols),
+                                  1)[1]
+        # 1 - pN over x != y in x-major order, summed left to right
+        unequal = 1.0 - np.delete(table[x], x)
+        total = float(np.cumsum(np.concatenate(([total], unequal)))[-1])
+    table.setflags(write=False)
     return table, total / (q * q)
 
 

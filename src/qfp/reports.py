@@ -9,9 +9,7 @@ rendered a block at a time, so its text never has to sit in memory whole.
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import os
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -48,6 +46,8 @@ def atomic_write_text(path, text: str | Iterable[str]) -> None:
 
 def csv_text(fieldnames: Sequence[str],
              rows: Iterable[Mapping[str, object]]) -> str:
+    import csv  # the render functions import what only they use
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fieldnames)
@@ -57,6 +57,8 @@ def csv_text(fieldnames: Sequence[str],
 
 
 def json_text(payload) -> str:
+    import json
+
     return json.JSONEncoder(indent=2).encode(payload) + "\n"
 
 
@@ -116,6 +118,8 @@ def json_chunks(payload: dict) -> Iterable[str]:
     rows = payload.get("rows")
     if not isinstance(rows, Rows):
         return [json_text(payload)]
+    import json
+
     # one C-encoded list parted at raw newlines, which JSON text never has
     return _stream(json_text({**payload, "rows": [rows.template] * 2}),
                    lambda values: json.dumps(values, separators=(

@@ -303,13 +303,14 @@ class TestRunCommand:
 
     def test_exact_hadamard_20_memory(self, tmp_path):
         # modes are evaluated per bit-pair class and gathered: one float
-        # per mode next to the 20 MiB generator, no (2, m) complex state
+        # per mode, no (2, m) complex state, and the codewords are encoded
+        # from the row formula, with no 20 MiB generator
         rc, _, peak_mb = run_child(
             ["run", "--exact", "--code", "hadamard", "--n", "20",
              "--x", "11001100110011001100", "--y", "10110110110110110110"],
             tmp_path)
         assert rc == 0
-        assert peak_mb < 100
+        assert peak_mb < 50
 
     def test_exact_hadamard_18_memory(self, tmp_path):
         # port statistics stay two float arrays; no label per mode
@@ -784,6 +785,19 @@ class TestTopLevel:
     def test_unknown_flag_is_usage_error(self, capsys):
         assert main(["run", "--nonsense"]) == 1
         assert "nonsense" in capsys.readouterr().err
+
+    def test_import_loads_layers_not_report_modules(self):
+        # the standard-library modules only some commands use are imported
+        # where they are used
+        layers = ("cli", "modes", "ecc", "protocol", "classical",
+                  "physical", "kernels", "reports")
+        unused = ("fractions", "decimal", "configparser", "json", "csv")
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, qfp.cli; print(*sorted("
+             "sys.modules))"], env=CHILD_ENV, capture_output=True,
+            text=True, check=True).stdout.split()
+        assert {f"qfp.{layer}" for layer in layers} <= set(out)
+        assert not set(unused) & set(out)
 
     def test_unit_equivalence_end_to_end(self, tmp_path):
         j1, j2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qfp import (Code, CodeFormatError, CodeKind, DimensionError, DomainError,
                  encode, hadamard_code, hamming_distance, identity_code,
                  justesen_nu, load_code, min_distance_bruteforce,
                  random_linear_code, repetition_code, save_code)
+from qfp import kernels
 from qfp.errors import LIMITS
 
 MAX_ENTRIES = LIMITS["generator entries"]
@@ -322,3 +324,103 @@ class TestCodeType:
     def test_distance_range_checked(self):
         with pytest.raises(DomainError):
             Code(2, 2, 3, CodeKind.IDENTITY, np.eye(2, dtype=np.uint8))
+
+
+def constructed_generator(kind, n, r=None, m=None, seed=None):
+    """The generator of each kind as it was built and stored before the
+    formula codes: the independent reference for ``code.generator``."""
+    if kind is CodeKind.IDENTITY:
+        return np.eye(n, dtype=np.uint8)
+    if kind is CodeKind.REPETITION:
+        return np.repeat(np.eye(n, dtype=np.uint8), r, axis=1)
+    if kind is CodeKind.HADAMARD:  # message bit j against bit j of z
+        z = np.arange(1 << n)
+        return ((z[None, :] >> np.arange(n)[:, None]) & 1).astype(np.uint8)
+    words = kernels.splitmix64_stream(seed, n * ((m + 63) // 64))
+    bits = np.unpackbits(words.astype("<u8").view(np.uint8),
+                         bitorder="little")
+    return bits.reshape(n, -1)[:, :m]
+
+
+FORMULA_CASES = [
+    (identity_code(1), (CodeKind.IDENTITY, 1)),
+    (identity_code(6), (CodeKind.IDENTITY, 6)),
+    (repetition_code(1, 7), (CodeKind.REPETITION, 1, 7)),
+    (repetition_code(3, 5), (CodeKind.REPETITION, 3, 5)),
+    *((hadamard_code(n), (CodeKind.HADAMARD, n)) for n in range(1, 9)),
+]
+FORMULA_IDS = [f"{code.kind.value}-{code.n}x{code.m}"
+               for code, _ in FORMULA_CASES]
+
+
+def _messages(n):
+    return np.array([[(msg >> j) & 1 for j in range(n)]
+                     for msg in range(1 << n)], dtype=np.uint8)
+
+
+class TestFormulaCodes:
+    @pytest.mark.parametrize("code, ref", [
+        *FORMULA_CASES,
+        (random_linear_code(5, 70, seed=3),
+         (CodeKind.RANDOM_LINEAR, 5, None, 70, 3)),
+    ], ids=[*FORMULA_IDS, "RandomLinear-5x70"])
+    def test_generator_equals_construction(self, code, ref):
+        gen = code.generator
+        assert gen.dtype == np.uint8 and not gen.flags.writeable
+        assert np.array_equal(gen, constructed_generator(*ref))
+        assert code.generator is gen  # built once, then kept
+
+    @pytest.mark.parametrize("code, ref", FORMULA_CASES, ids=FORMULA_IDS)
+    def test_encode_every_message_equals_generator_xor(self, code, ref):
+        # the code encodes from its row formulas: its generator is read
+        # only after every message has been encoded
+        msgs = _messages(code.n)
+        words = np.array([encode(code, x) for x in msgs])
+        gen = code.generator
+        assert np.array_equal(words, (msgs.astype(np.int64) @ gen) & 1)
+        for x, word in zip(msgs, words):
+            assert np.array_equal(encode(code, x), word)  # stored rows
+
+    def test_hadamard_20_sampled_messages(self):
+        code = hadamard_code(20)
+        rng = np.random.default_rng(20)
+        msgs = [rng.integers(0, 2, 20, dtype=np.uint8) for _ in range(4)]
+        msgs += [np.ones(20, dtype=np.uint8), np.eye(20, dtype=np.uint8)[19]]
+        words = [encode(code, x) for x in msgs]
+        gen = hadamard_code(20).generator
+        for x, word in zip(msgs, words):
+            want = np.zeros(code.m, dtype=np.uint8)
+            for i in np.flatnonzero(x):
+                want ^= gen[i]
+            assert np.array_equal(word, want)
+
+    def test_hadamard_20_encodes_without_its_generator(self):
+        # one 1 MiB word, where the 20 x 2^20 generator takes 20 MiB
+        tracemalloc.start()
+        try:
+            encode(hadamard_code(20), "1" * 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 << 20
+
+    def test_formula_rows(self):
+        code = repetition_code(3, 2)
+        assert [bits_to_string(code.row(i)) for i in range(3)] == [
+            "110000", "001100", "000011"]
+
+    def test_stored_generator_is_used(self):
+        # an explicit generator wins over the kind's formula
+        gen = np.array([[0, 1, 1], [1, 1, 0], [0, 0, 1]], dtype=np.uint8)
+        code = Code(3, 3, 1, CodeKind.IDENTITY, gen)
+        assert code.generator is gen
+        assert bits_to_string(encode(code, "110")) == "101"
+
+    @pytest.mark.parametrize("n, m, kind", [
+        (2, 3, CodeKind.IDENTITY), (2, 5, CodeKind.REPETITION),
+        (3, 9, CodeKind.HADAMARD), (10**20, 4, CodeKind.HADAMARD),
+        (2, 4, CodeKind.RANDOM_LINEAR),
+    ])
+    def test_no_formula_without_generator(self, n, m, kind):
+        with pytest.raises(DimensionError):
+            Code(n, m, 1, kind)

@@ -370,6 +370,21 @@ class TestBlockedTrials:
         assert got.dtype == np.uint8
         assert np.array_equal(got, _reference_noise_verdicts(*args))
 
+    @pytest.mark.parametrize("slots", [0, 1, 3, 1000])
+    def test_noise_verdicts_sweep_rows(self, trial_block, slots):
+        # one pass of draws gives every dark probability's verdicts, and
+        # any range of trials gives that slice of the whole run
+        darks = (0.0, 1e-3, 0.3, 0.0)
+        args = (0.1, 0.8, 0.9, 0.25, darks, slots, 4, BLOCK_TRIALS, 17)
+        got = kernels.noise_verdicts(*args)
+        assert got.dtype == np.uint8 and got.shape == (4, BLOCK_TRIALS)
+        for row, dark in zip(got, darks):
+            want = _reference_noise_verdicts(*args[:4], dark, *args[5:])
+            assert np.array_equal(row, want)
+            tail = kernels.noise_verdicts(*args[:4], dark, slots, 4,
+                                          BLOCK_TRIALS - 15, 17, 15)
+            assert np.array_equal(tail, want[15:])
+
     # every constant cut: no vacuum or no signal photon, certain loss or
     # survival, a certain port, no dark counts or no dark window
     @pytest.mark.parametrize("p_zero,p_one", [(0.0, 1.0), (1.0, 0.0),

@@ -1,11 +1,13 @@
 """Feasibility arithmetic, photon statistics, and the noisy Monte Carlo."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
 from qfp import (DomainError, ImperfectionModel, conditional_error_with_noise,
-                 feasible_d, photon_number_distribution)
+                 feasible_d, kernels, photon_number_distribution)
+from qfp.physical import dark_count_sweep
 
 
 def poisson_tail_oracle(mean, terms=60):
@@ -190,3 +192,30 @@ class TestNoisyProtocol:
             with pytest.raises(DomainError):
                 conditional_error_with_noise(model, 0.5, 1, 10, seed=0,
                                              slots=slots)
+
+
+class TestDarkCountSweep:
+    MODEL = ImperfectionModel(mean_photon_number=0.8, transmission=0.9,
+                              detector_efficiency=0.8)
+
+    @pytest.mark.parametrize("trial_block, tally_block",
+                             [(1 << 14, 1 << 16), (7, 1 << 16), (7, 40),
+                              (64, 96)])
+    @pytest.mark.parametrize("darks", [(0.0, 1e-4, 1e-3, 0.3),
+                                       (0.0, 0.0, 0.0)], ids=["mixed", "zero"])
+    @pytest.mark.parametrize("pn", [0.0, 0.25])
+    def test_rows_equal_per_point_results(self, monkeypatch, trial_block,
+                                          tally_block, darks, pn):
+        # one pass of draws for every point, in ranges of trials; each
+        # point on its own is the reference
+        monkeypatch.setattr(kernels, "_TRIAL_BLOCK", trial_block)
+        monkeypatch.setattr("qfp.physical._TALLY_BLOCK", tally_block)
+        rows = dark_count_sweep(self.MODEL, list(darks), pn, 3, 300, 41,
+                                slots=40)
+        assert rows == [conditional_error_with_noise(
+            replace(self.MODEL, dark_count_prob=dark), pn, 3, 300, 41,
+            slots=40) for dark in darks]
+
+    def test_every_value_checked_first(self):
+        with pytest.raises(DomainError, match="dark_count_prob"):
+            dark_count_sweep(self.MODEL, [0.0, 1.0], 0.25, 1, 10, 0)
