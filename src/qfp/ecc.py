@@ -244,7 +244,7 @@ def load_code(src) -> Code:
     own = isinstance(src, (str, bytes)) or hasattr(src, "__fspath__")
     fh = open(src, "r", encoding="utf-8") if own else src
     try:
-        n, m, t, kind, gen = _read_generator(fh)
+        n, m, t, kind, gen, rows_match = _read_generator(fh)
     except UnicodeDecodeError as exc:
         raise CodeFormatError(f"code file is not UTF-8: {exc}") from exc
     finally:
@@ -253,11 +253,7 @@ def load_code(src) -> Code:
     if kind is CodeKind.RANDOM_LINEAR:
         return Code(n, m, t, kind, gen)
     canonical = _canonical_code(kind, n, m)
-    # compared row by row with the formula, so the constructed code never
-    # builds its generator
-    if (canonical is None or canonical.t != t
-            or not all(np.array_equal(canonical.row(i), row)
-                       for i, row in enumerate(gen))):
+    if canonical is None or canonical.t != t or not rows_match:
         raise CodeFormatError(
             f"not the {kind.value} code with n={n}, m={m}: the generator "
             f"or the distance t={t} differs from the construction"
@@ -265,11 +261,11 @@ def load_code(src) -> Code:
     return canonical
 
 
-def _read_generator(fh) -> tuple[int, int, int, CodeKind, np.ndarray]:
-    # header and (n, m) bit matrix of a code file; each row is checked as
-    # it is read and only its bytes are kept, so the text is never held
-    # next to the generator, which is no larger than the file whatever the
-    # header declares
+def _read_generator(fh) -> tuple[int, int, int, CodeKind, np.ndarray, bool]:
+    # header, kept rows and whether every row equals the kind's formula,
+    # each row checked as it is read: a RandomLinear file keeps only its
+    # rows' bytes (no larger than the file, whatever the header says),
+    # any other kind compares each row with the formula's and keeps none
     lines = (ln.rstrip("\n") for ln in fh)
     header = next((ln for ln in lines if ln.strip()), None)
     if header is None:
@@ -284,8 +280,12 @@ def _read_generator(fh) -> tuple[int, int, int, CodeKind, np.ndarray]:
         raise CodeFormatError(f"bad header {header!r}: {exc}") from exc
     if n < 1 or m < 1:
         raise CodeFormatError(f"bad header {header!r}: n and m must be >= 1")
+    keep = kind is CodeKind.RANDOM_LINEAR
+    # a code not charged to the budget: load_code charges the one it makes
+    formula = (Code(n, m, 0, kind) if not keep and _has_formula(kind, n, m)
+               else None)
     buf = bytearray()
-    rows, bad_row = 0, None
+    rows, bad_row, rows_match = 0, None, formula is not None
     for row in lines:
         if not row.strip():
             continue
@@ -294,16 +294,18 @@ def _read_generator(fh) -> tuple[int, int, int, CodeKind, np.ndarray]:
             continue  # past a bad row or the last one, only counted
         if len(row) != m or row.strip("01"):
             bad_row = rows
-        else:
+        elif keep:
             buf += row.encode("ascii")
+        elif rows_match:
+            rows_match = bits_to_string(formula.row(rows - 1)) == row
     # the row count is reported before a malformed row
     if rows != n:
         raise CodeFormatError(f"expected {n} generator rows, got {rows}")
     if bad_row is not None:
         raise CodeFormatError(f"generator row {bad_row} is not {m} bits")
-    gen = np.frombuffer(buf, dtype=np.uint8)
+    gen = np.frombuffer(buf, dtype=np.uint8).reshape(-1, m)
     gen -= ord("0")
-    return n, m, t, kind, gen.reshape(n, m)
+    return n, m, t, kind, gen, rows_match
 
 
 def _has_formula(kind: CodeKind, n: int, m: int) -> bool:

@@ -158,19 +158,6 @@ class _Draws:
 # port-outcome sampling
 # ---------------------------------------------------------------------------
 
-def _n_port_cut(probs: np.ndarray) -> int:
-    # the cut at and past which a draw of :func:`click_counts` clicks N
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 1 or probs.shape[0] == 0 or probs.shape[0] % 2:
-        raise ValueError("per-mode vector must hold 2m > 0 probabilities")
-    if not np.any(probs > 0.0):
-        raise ValueError("probability vector has no mass")
-    m = probs.shape[0] // 2
-    if not np.any(probs[m:] > 0.0):
-        return _NEVER
-    return _u01_cut(float(np.cumsum(probs[:m])[-1]))
-
-
 def _add_clicks(seeds: np.ndarray, cut: int, k: int, out: np.ndarray) -> None:
     # add the N clicks among the k draws of each substream into ``out``
     draws = _Draws(seeds)
@@ -178,37 +165,33 @@ def _add_clicks(seeds: np.ndarray, cut: int, k: int, out: np.ndarray) -> None:
         out += draws.at_least(j, [cut])[0]
 
 
-def click_counts(probs: np.ndarray, k: int, trials: int, master_seed: int,
+def click_counts(c: float, k: int, trials: int, master_seed: int,
                  dtype=np.int64) -> np.ndarray:
-    """Per-trial count of outcomes landing in the upper half of ``probs``.
+    """Per-trial count of the ``k`` draws that click N.
 
-    ``probs`` holds the 2m per-mode probabilities ordered as all equal-port
-    modes followed by all not-equal-port modes; an outcome index >= m is an
-    N click.  Each trial draws ``k`` independent outcomes by inverse CDF,
-    but only the port is kept: the first cumulative value above ``u`` lies
-    at index >= m iff ``u >= cum[m - 1]``, one comparison per draw of the
-    raw output with that threshold's cut.  A ``u`` past the table takes the
-    last positive outcome, so with no N-port mass no draw clicks N.
-    Outcomes with exactly zero probability are structurally unreachable,
-    which keeps one-sided error exact.  Counts are stored in ``dtype``,
-    which must hold ``k``; each block is written straight into it.
+    A draw clicks N iff its uniform ``u >= c``: ``c`` is the E-port
+    probability of one run, so this is one comparison per draw of the raw
+    output with the cut of ``c``.  With ``c >= 1`` no draw clicks N, which
+    keeps one-sided error exact for a pair with no N-port mass.  Counts
+    are stored in ``dtype``, which must hold ``k``; each block is written
+    straight into it.
     """
-    cut = _n_port_cut(probs)
+    cut = _u01_cut(c)
     counts = np.zeros(trials, dtype=dtype)
     for start, seeds in _trial_blocks(master_seed, trials):
         _add_clicks(seeds, cut, k, counts[start:start + seeds.shape[0]])
     return counts
 
 
-def replay_click_count(probs: np.ndarray, k: int, seed: int) -> int:
-    """N-click count of the one trial drawn from the substream at ``seed``.
+def replay_click_count(c: float, k: int, seed: int) -> int:
+    """N-click count, at threshold ``c``, of the trial seeded ``seed``.
 
     The block code of :func:`click_counts` on a block of one seed, so equal
     to trial ``i`` of a batch when ``seed`` is that trial's substream seed.
     """
     count = np.zeros(1, dtype=np.int64)
     _add_clicks(np.array([int(seed) & _MASK64], dtype=np.uint64),
-                _n_port_cut(probs), k, count)
+                _u01_cut(c), k, count)
     return int(count[0])
 
 

@@ -11,7 +11,9 @@ below (1 - t/m)^k.
 
 Mode i's port amplitudes depend only on the bit pair (e(x)_i, e(y)_i), so
 the code protocols evaluate :func:`qfp.modes.interferometer` once per bit
-pair and gather the result per mode; no ``(2, m)`` complex state is built.
+pair and read the result per mode; no ``(2, m)`` state is built, and a
+sampled run keeps only pN and the E-port total c (a run clicks N iff its
+uniform u >= c).
 
 Small-alphabet variants (one symbol, one mode, phase 2*pi*x/q) are
 included; they are the q-ary one-mode case of the same interferometer,
@@ -123,11 +125,22 @@ def run_exact(code: Code, x, y) -> float:
     return float(table[1][pair].sum())
 
 
-def _port_distribution(code: Code, x, y) -> tuple[np.ndarray, float]:
-    # the 2m per-mode probabilities, E port then N port, and pN
+_CUT_BLOCK = 1 << 16  # modes gathered per step of the threshold's sum
+
+
+def _sampling_inputs(code: Code, x, y) -> tuple[float, float]:
+    # pN as run_exact sums it, and the samplers' threshold c: the E-port
+    # probabilities summed left to right, the total carried block to
+    # block, or 1.0 (no draw clicks N) when pN == 0
     table, pair = _port_table(code, x, y)
-    per_mode = np.take(table, pair, axis=1)
-    return per_mode.ravel(), float(per_mode[1].sum())
+    pn = float(table[1][pair].sum())
+    if pn == 0.0:
+        return pn, 1.0
+    c = 0.0
+    for lo in range(0, pair.shape[0], _CUT_BLOCK):
+        block = table[0][pair[lo:lo + _CUT_BLOCK]]
+        c = float(np.cumsum(np.append(c, block))[-1])
+    return pn, c
 
 
 def run_sampled(params: ProtocolParams, x, y, seed: int) -> RunResult:
@@ -137,8 +150,8 @@ def run_sampled(params: ProtocolParams, x, y, seed: int) -> RunResult:
     ``seed`` (recorded in the result for replay) by the block sampler of
     :func:`run_batch`, so a batch trial's seed replays it exactly.
     """
-    probs, pn = _port_distribution(params.code, x, y)
-    n_clicks = kernels.replay_click_count(probs, params.k, seed)
+    pn, c = _sampling_inputs(params.code, x, y)
+    n_clicks = kernels.replay_click_count(c, params.k, seed)
     verdict = Verdict.NOT_EQUAL if n_clicks else Verdict.EQUAL
     return RunResult(verdict, pn, n_clicks, int(seed) & (2**64 - 1))
 
@@ -156,8 +169,8 @@ def run_batch(params: ProtocolParams, x, y, master_seed: int,
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     kernels.check_runs(params.k, trials)
-    probs, pn = _port_distribution(params.code, x, y)
-    counts = kernels.click_counts(probs, params.k, trials, master_seed,
+    pn, c = _sampling_inputs(params.code, x, y)
+    counts = kernels.click_counts(c, params.k, trials, master_seed,
                                   dtype=np.min_scalar_type(params.k))
     return BatchResult(pn, params.k, int(master_seed) & (2**64 - 1), counts)
 

@@ -313,23 +313,36 @@ class TestRunCommand:
         assert peak_mb < 50
 
     def test_exact_hadamard_18_memory(self, tmp_path):
-        # port statistics stay two float arrays; no label per mode
+        # one byte of class per mode and one float per mode gathered for
+        # the pN sum, 2 MiB at m = 2^18 (~33 MB)
         rc, _, peak_mb = run_child(
             ["run", "--exact", "--code", "hadamard", "--n", "18",
              "--x", "101100111000101101", "--y", "011011000111010010"],
             tmp_path)
         assert rc == 0
-        assert peak_mb < 120
+        assert peak_mb < 50
 
     def test_sampled_generator_at_the_limit_memory(self, tmp_path):
-        # a generator at the "generator entries" limit: the N-port cut
-        # cumulates only the E-port half of the 2m per-mode probabilities
+        # a code at the "generator entries" limit: the sampled run keeps
+        # pN and the threshold c, whose sum holds one block of E-port
+        # values; the 20 MiB class word and the 160 MiB pN gather remain
+        # (~210 MB)
         rc, _, peak_mb = run_child(
             ["run", "--code", "repetition", "--n", "1", "--r",
              str(LIMITS["generator entries"]), "--x", "1", "--y", "0",
              "--k", "1"], tmp_path)
         assert rc == 0
-        assert peak_mb < 600
+        assert peak_mb < 300
+
+    def test_sampled_hadamard_20_memory(self, tmp_path):
+        # no 2m per-mode vector: the samplers take the threshold c alone
+        # (~39 MB; 55 MB with the vector)
+        rc, _, peak_mb = run_child(
+            ["run", "--code", "hadamard", "--n", "20",
+             "--x", "11001100110011001100", "--y", "10110110110110110110",
+             "--k", "5", "--trials", "1000"], tmp_path)
+        assert rc == 0
+        assert peak_mb < 50
 
     def test_sampled_memory_flat_in_trials(self, tmp_path):
         # trials are sampled a block at a time and no seeds are stored:
@@ -570,16 +583,16 @@ class TestCodesCommand:
         assert "export, import, show, verify" in capsys.readouterr().err
 
     def test_show_hadamard_20_memory(self, tmp_path):
-        # the loaded generator is checked against the construction and
-        # only the constructed code is kept: rows are read straight into
-        # one 1 MiB x 20 buffer and compared row by row, so the file's
-        # text is never held whole (~71 MB; 110 MB with the text held)
+        # each row of the file is compared with the construction's as it
+        # is read and none is kept, so neither the file's text nor its
+        # 20 MiB generator is held whole (~36 MB; 53 MB with the
+        # generator kept)
         assert main(["codes", "export", "--kind", "hadamard", "--n", "20",
                      "--out", str(tmp_path / "had.code")]) == 0
         rc, _, peak_mb = run_child(["codes", "show", "--in", "had.code"],
                                    tmp_path)
         assert rc == 0
-        assert peak_mb < 90
+        assert peak_mb < 45
 
     def test_non_utf8_code_file_is_format_error(self, tmp_path, capsys):
         path = tmp_path / "bad.code"

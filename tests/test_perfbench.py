@@ -1,0 +1,60 @@
+"""The contract between ``perfbench/`` and the program: the argument names
+its tracer binds, the ``RunResult`` fields its replay check reads."""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import qfp
+from qfp import ProtocolParams, hadamard_code, kernels, run_batch
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(qfp.__file__).resolve().parents[1]
+
+X, Y, K, TRIALS, SEED = "0000", "0110", 10, 1000, 3
+
+
+def _workloads(monkeypatch):
+    # perfbench/workloads.py, imported under a private name; its
+    # dataclasses look their module up in sys.modules
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_counts_sampled_and_exact_runs(tmp_path):
+    code = ["--code", "hadamard", "--n", "4", "--x", X, "--y", Y]
+    plan = {"dir": str(tmp_path), "invocations": [
+        ["run", *code, "--k", str(K), "--trials", str(TRIALS),
+         "--seed", str(SEED)],
+        ["run", "--exact", *code],
+    ]}
+    plan_path, result_path = tmp_path / "plan.json", tmp_path / "result.json"
+    plan_path.write_text(json.dumps(plan))
+    # the tracer changes into the plan's directory before it writes, so
+    # the result path is absolute
+    subprocess.run([sys.executable, str(PERFBENCH / "tracer.py"),
+                    str(plan_path), str(result_path.resolve())],
+                   env=dict(os.environ, PYTHONPATH=str(SRC)), check=True,
+                   capture_output=True, timeout=120)
+    result = json.loads(result_path.read_text())
+    assert [inv["rc"] for inv in result["invocations"]] == [0, 0]
+    assert result["metrics"]["kernels.click_draws"] == K * TRIALS
+    assert "kernels.click_counts" not in result["missing"]
+
+
+def test_workload_replay_is_the_batch_trial(monkeypatch):
+    workloads = _workloads(monkeypatch)
+    assert workloads.K == K and workloads.SAMPLED_N == 4
+    code = hadamard_code(4)
+    batch = run_batch(ProtocolParams(4, code, K, 0.01), X, Y, SEED, 64)
+    seeds = kernels.derive_stream_seeds(SEED, 64).tolist()
+    for clicks, seed in zip(batch.n_clicks.tolist(), seeds):
+        verdict = "NotEqual" if clicks else "Equal"
+        assert workloads.replay(X, Y, seed) == (verdict, clicks)

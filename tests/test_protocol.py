@@ -129,17 +129,19 @@ SMALL_CODES = [family(n) for n in range(1, 5) for family in (
 
 
 class TestClassEvaluation:
-    """Per-mode statistics gathered from the four bit-pair classes equal
-    the full (2, m) state pipeline bit for bit."""
+    """pN and the sampling threshold, evaluated per bit-pair class, equal
+    those of the full (2, m) state pipeline bit for bit: pN the N-port
+    sum, the threshold the E-port cumsum (1.0 with no N-port mass)."""
 
     @staticmethod
     def assert_matches_pipeline(code, x, y):
         per_mode = pipeline_port_statistics(code, x, y)
         p_not_equal = float(per_mode[1].sum())
-        probs, pn = protocol._port_distribution(code, x, y)
-        assert np.array_equal(probs.view(np.uint64),
-                              per_mode.ravel().view(np.uint64))
+        threshold = (float(np.cumsum(per_mode[0])[-1])
+                     if np.any(per_mode[1] > 0.0) else 1.0)
+        pn, c = protocol._sampling_inputs(code, x, y)
         assert pn.hex() == p_not_equal.hex()
+        assert c.hex() == threshold.hex()
         assert run_exact(code, x, y).hex() == p_not_equal.hex()
 
     @pytest.mark.parametrize("code", SMALL_CODES,
@@ -157,6 +159,17 @@ class TestClassEvaluation:
         for _ in range(2 if n < 18 else 1):
             self.assert_matches_pipeline(code, random_message(rng, n),
                                          random_message(rng, n))
+
+    @pytest.mark.parametrize("block", [1, 3, 64, 1001])
+    def test_threshold_blocks(self, monkeypatch, block):
+        # the threshold's total is carried from block to block, so every
+        # block size sums the E port as one left-to-right pass
+        monkeypatch.setattr(protocol, "_CUT_BLOCK", block)
+        rng = np.random.default_rng(block)
+        code = random_linear_code(8, 1001, seed=1001)
+        for _ in range(4):
+            self.assert_matches_pipeline(code, random_message(rng, 8),
+                                         random_message(rng, 8))
 
     @pytest.mark.parametrize("n,m", [(5, 333), (8, 1001), (12, 4097)])
     def test_random_pairs_of_random_codes_odd_m(self, n, m):
