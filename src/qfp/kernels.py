@@ -353,7 +353,11 @@ def min_nonzero_weight(generator: np.ndarray) -> int:
 #   referee mask:       bit (i*b + j) set  -> referee answers Equal when
 #                       alice sent message i and bob sent message j
 
-_PAIR_BLOCK = 1 << 15  # (alice map, bob map) pairs per step
+# (alice map, bob map) pairs per step: a block's widest temporaries, one
+# int64 per pair and referee cell or input digit, take 144 KiB each at
+# q = 4 with 3 x 3 messages, and at most 256 KiB (q = 16, 2 x 1) over the
+# shapes the "SMP scored pairs" budget admits
+_PAIR_BLOCK = 1 << 11
 
 
 def _digits(index: np.ndarray, base: int, q: int) -> np.ndarray:

@@ -13,7 +13,8 @@ Mode i's port amplitudes depend only on the bit pair (e(x)_i, e(y)_i), so
 the code protocols evaluate :func:`qfp.modes.interferometer` once per bit
 pair and read the result per mode; no ``(2, m)`` state is built, and a
 sampled run keeps only pN and the E-port total c (a run clicks N iff its
-uniform u >= c).
+uniform u >= c).  pN is summed leaf by leaf in numpy's pairwise order,
+with no m-float gather.
 
 Small-alphabet variants (one symbol, one mode, phase 2*pi*x/q) are
 included; they are the q-ary one-mode case of the same interferometer,
@@ -119,10 +120,31 @@ def _port_table(code: Code, x, y) -> tuple[np.ndarray, np.ndarray]:
     return interferometer(_CLASS_PHASES, code.m), pair
 
 
+# modes gathered per leaf of pN's sum: at least numpy's pairwise block of
+# 128 values, so no leaf splits a range that numpy sums in one piece
+_PN_LEAF = 1 << 16
+
+
+def _pairwise_sum(values: np.ndarray, index: np.ndarray) -> float:
+    # float(values[index].sum()), one leaf gathered at a time: numpy splits
+    # a sum of more than 128 values at n // 2 rounded down to a multiple
+    # of 8, and this splits at the same points
+    n = index.shape[0]
+    if n <= _PN_LEAF:
+        return float(np.add.reduce(values[index]))
+    half = n // 2 - n // 2 % 8
+    return (_pairwise_sum(values, index[:half])
+            + _pairwise_sum(values, index[half:]))
+
+
 def run_exact(code: Code, x, y) -> float:
-    """Exact N-port probability for one run: equals d_H(e(x), e(y)) / m."""
+    """Exact N-port probability for one run: equals d_H(e(x), e(y)) / m.
+
+    The m per-mode N-port values are summed leaf by leaf in numpy's
+    pairwise order: numpy's sum of them, bit for bit, with one leaf held.
+    """
     table, pair = _port_table(code, x, y)
-    return float(table[1][pair].sum())
+    return _pairwise_sum(table[1], pair)
 
 
 _CUT_BLOCK = 1 << 16  # modes gathered per step of the threshold's sum
@@ -133,7 +155,7 @@ def _sampling_inputs(code: Code, x, y) -> tuple[float, float]:
     # probabilities summed left to right, the total carried block to
     # block, or 1.0 (no draw clicks N) when pN == 0
     table, pair = _port_table(code, x, y)
-    pn = float(table[1][pair].sum())
+    pn = _pairwise_sum(table[1], pair)
     if pn == 0.0:
         return pn, 1.0
     c = 0.0

@@ -302,19 +302,20 @@ class TestRunCommand:
         assert_refused_at_once(argv, tmp_path, "runs")
 
     def test_exact_hadamard_20_memory(self, tmp_path):
-        # modes are evaluated per bit-pair class and gathered: one float
-        # per mode, no (2, m) complex state, and the codewords are encoded
-        # from the row formula, with no 20 MiB generator
+        # modes are evaluated per bit-pair class: one byte of class per
+        # mode and one leaf of floats for the pN sum, no (2, m) complex
+        # state, and the codewords are encoded from the row formula, with
+        # no 20 MiB generator (~32 MB; 39 MB with the pN gather)
         rc, _, peak_mb = run_child(
             ["run", "--exact", "--code", "hadamard", "--n", "20",
              "--x", "11001100110011001100", "--y", "10110110110110110110"],
             tmp_path)
         assert rc == 0
-        assert peak_mb < 50
+        assert peak_mb < 36
 
     def test_exact_hadamard_18_memory(self, tmp_path):
-        # one byte of class per mode and one float per mode gathered for
-        # the pN sum, 2 MiB at m = 2^18 (~33 MB)
+        # one byte of class per mode and one leaf of floats for the pN
+        # sum (~31 MB)
         rc, _, peak_mb = run_child(
             ["run", "--exact", "--code", "hadamard", "--n", "18",
              "--x", "101100111000101101", "--y", "011011000111010010"],
@@ -322,27 +323,38 @@ class TestRunCommand:
         assert rc == 0
         assert peak_mb < 50
 
+    # a code at the "generator entries" limit
+    AT_THE_LIMIT = ["--code", "repetition", "--n", "1", "--r",
+                    str(LIMITS["generator entries"]), "--x", "1", "--y", "0"]
+
     def test_sampled_generator_at_the_limit_memory(self, tmp_path):
-        # a code at the "generator entries" limit: the sampled run keeps
-        # pN and the threshold c, whose sum holds one block of E-port
-        # values; the 20 MiB class word and the 160 MiB pN gather remain
-        # (~210 MB)
-        rc, _, peak_mb = run_child(
-            ["run", "--code", "repetition", "--n", "1", "--r",
-             str(LIMITS["generator entries"]), "--x", "1", "--y", "0",
-             "--k", "1"], tmp_path)
+        # pN and the threshold c are each summed one leaf or block of
+        # per-mode values at a time, so the 20 MiB class word is most of
+        # what the run holds above the interpreter and numpy (~51 MB;
+        # 210 MB with the pN gather)
+        rc, _, peak_mb = run_child(["run", *self.AT_THE_LIMIT, "--k", "1"],
+                                   tmp_path)
         assert rc == 0
-        assert peak_mb < 300
+        assert peak_mb < 100
+
+    def test_exact_generator_at_the_limit_memory(self, tmp_path):
+        # pN is summed one leaf of per-mode values at a time (~50 MB;
+        # 210 MB with the pN gather)
+        rc, _, peak_mb = run_child(["run", "--exact", *self.AT_THE_LIMIT],
+                                   tmp_path)
+        assert rc == 0
+        assert peak_mb < 100
 
     def test_sampled_hadamard_20_memory(self, tmp_path):
-        # no 2m per-mode vector: the samplers take the threshold c alone
-        # (~39 MB; 55 MB with the vector)
+        # no 2m per-mode vector and no pN gather: the samplers take the
+        # threshold c alone (~32 MB; 39 MB with the gather, 55 MB with
+        # the vector)
         rc, _, peak_mb = run_child(
             ["run", "--code", "hadamard", "--n", "20",
              "--x", "11001100110011001100", "--y", "10110110110110110110",
              "--k", "5", "--trials", "1000"], tmp_path)
         assert rc == 0
-        assert peak_mb < 50
+        assert peak_mb < 36
 
     def test_sampled_memory_flat_in_trials(self, tmp_path):
         # trials are sampled a block at a time and no seeds are stored:

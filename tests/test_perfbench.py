@@ -28,13 +28,9 @@ def _workloads(monkeypatch):
     return module
 
 
-def test_tracer_counts_sampled_and_exact_runs(tmp_path):
-    code = ["--code", "hadamard", "--n", "4", "--x", X, "--y", Y]
-    plan = {"dir": str(tmp_path), "invocations": [
-        ["run", *code, "--k", str(K), "--trials", str(TRIALS),
-         "--seed", str(SEED)],
-        ["run", "--exact", *code],
-    ]}
+def _trace(tmp_path, invocations) -> dict:
+    # run perfbench/tracer.py on the invocations; its result JSON
+    plan = {"dir": str(tmp_path), "invocations": invocations}
     plan_path, result_path = tmp_path / "plan.json", tmp_path / "result.json"
     plan_path.write_text(json.dumps(plan))
     # the tracer changes into the plan's directory before it writes, so
@@ -43,10 +39,32 @@ def test_tracer_counts_sampled_and_exact_runs(tmp_path):
                     str(plan_path), str(result_path.resolve())],
                    env=dict(os.environ, PYTHONPATH=str(SRC)), check=True,
                    capture_output=True, timeout=120)
-    result = json.loads(result_path.read_text())
+    return json.loads(result_path.read_text())
+
+
+def test_tracer_counts_sampled_and_exact_runs(tmp_path):
+    code = ["--code", "hadamard", "--n", "4", "--x", X, "--y", Y]
+    result = _trace(tmp_path, [
+        ["run", *code, "--k", str(K), "--trials", str(TRIALS),
+         "--seed", str(SEED)],
+        ["run", "--exact", *code],
+    ])
     assert [inv["rc"] for inv in result["invocations"]] == [0, 0]
     assert result["metrics"]["kernels.click_draws"] == K * TRIALS
     assert "kernels.click_counts" not in result["missing"]
+
+
+def test_tracer_counts_certify_runs(tmp_path):
+    # the SMP search and the exact run of the certify workload
+    result = _trace(tmp_path, [
+        ["classical", "--q", "4", "--alice", "3", "--bob", "3"],
+        ["run", "--exact", "--code", "hadamard", "--n", "10",
+         "--x", "1011001110", "--y", "0110110001"],
+    ])
+    assert [inv["rc"] for inv in result["invocations"]] == [0, 0]
+    assert result["metrics"]["kernels.smp_strategies"] == 3359232
+    for function in ("kernels.smp_exhaustive_search", "protocol.run_exact"):
+        assert function not in result["missing"]
 
 
 def test_workload_replay_is_the_batch_trial(monkeypatch):

@@ -180,6 +180,48 @@ class TestClassEvaluation:
                                          random_message(rng, n))
 
 
+PAIRWISE_LENGTHS = [1, 7, 8, 127, 128, 129, 8191, 8192, 8193,
+                    (1 << 16) - 1, (1 << 16) + 1, (1 << 17) + 1,
+                    (1 << 20) + 3, 3 * (1 << 18) + 5]
+
+
+class TestPairwiseSum:
+    """pN is summed leaf by leaf in numpy's pairwise order, never gathered
+    whole.  That order is numpy's internal; these tests pin it to the
+    installed numpy, so a numpy that sums in another order fails here
+    before it fails a golden."""
+
+    @pytest.mark.parametrize("leaf", [128, 1 << 16])
+    @pytest.mark.parametrize("length", PAIRWISE_LENGTHS)
+    def test_equals_numpy_sum(self, monkeypatch, leaf, length):
+        monkeypatch.setattr(protocol, "_PN_LEAF", leaf)
+        rng = np.random.default_rng(length)
+        for _ in range(3):
+            # per-class values of spread magnitudes: a sum in any other
+            # order rounds differently at some of these lengths
+            values = rng.random(4) * 2.0 ** rng.integers(-30, 1, 4)
+            pair = rng.integers(0, 4, length, dtype=np.uint8)
+            expected = float(np.sum(values[pair]))
+            streamed = protocol._pairwise_sum(values, pair)
+            assert streamed.hex() == expected.hex(), (
+                f"numpy {np.__version__} sums {length} float64 values in "
+                f"another order: {streamed!r} != {expected!r}")
+
+    @pytest.mark.parametrize("code", [
+        *CODES, identity_code(4096), repetition_code(3, 50001),
+        hadamard_code(18), random_linear_code(8, (1 << 16) + 5, seed=5),
+    ], ids=lambda c: f"{c.kind.value}-{c.m}")
+    def test_pn_is_the_gathered_sum(self, code):
+        rng = np.random.default_rng(code.m)
+        for _ in range(2):
+            x, y = random_message(rng, code.n), random_message(rng, code.n)
+            table, pair = protocol._port_table(code, x, y)
+            gathered = float(table[1][pair].sum())
+            assert run_exact(code, x, y).hex() == gathered.hex()
+            assert protocol._sampling_inputs(code, x, y)[0].hex() == \
+                gathered.hex()
+
+
 class TestProtocolParams:
     def test_validation(self):
         code = hadamard_code(3)
