@@ -20,6 +20,7 @@ domain error, 2 resource limit.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from dataclasses import asdict, fields
@@ -180,13 +181,12 @@ def _reject_out(args) -> None:
 
 def _emit(args, payload, fieldnames=None) -> None:
     """Write the payload's "rows" to --out and ``payload`` to --json."""
-    if args.out:
-        reports.atomic_write_text(
-            args.out, reports.csv_chunks(fieldnames, payload["rows"]))
-        print(f"wrote {args.out}")
-    if args.json:
-        reports.atomic_write_text(args.json, reports.json_chunks(payload))
-        print(f"wrote {args.json}")
+    paths = [path for path in (args.out, args.json) if path]
+    if paths:
+        reports.write(paths, reports.chunks(
+            payload, fieldnames if args.out else None, bool(args.json)))
+    for path in paths:
+        print(f"wrote {path}")
 
 
 def cmd_run(args) -> int:
@@ -554,6 +554,10 @@ def main(argv=None) -> int:
             return 1
         if args.command != "codes":
             _apply_config(args, _config_types(parser, args.command))
+            if args.out and args.json and (os.path.realpath(args.out)
+                                           == os.path.realpath(args.json)):
+                raise _UsageError(f"qfp {args.command}: --out and --json "
+                                  f"are the same file {args.json!r}")
         return args.handler(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)

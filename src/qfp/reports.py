@@ -1,11 +1,12 @@
 """Deterministic CSV/JSON report emission.
 
 Same rows in, same bytes out: floats are rendered with ``repr`` (shortest
-round-trip form), key order is fixed by the caller, files carry no
-timestamps, and writes go through a temp file plus rename so a crashed run
-never leaves a half-written report.  A large table is :class:`Rows`,
-rendered a block at a time, so its text never has to sit in memory whole.
-"""
+round-trip form), key order is fixed by the caller, and files carry no
+timestamps.  :func:`chunks` renders both reports in one pass; a large
+table is :class:`Rows`, built once per block for both files.  :func:`write`
+writes the chunks as bytes through one temp file per report, all opened
+before the first row is rendered and renamed after the last, so a failed
+run leaves neither report unless the second rename fails after the first."""
 
 from __future__ import annotations
 
@@ -24,23 +25,32 @@ def render_value(value) -> str:
     return str(value)
 
 
-def atomic_write_text(path, text: str | Iterable[str]) -> None:
-    """Write ``text``, or its chunks in order, to ``path`` through a
-    private temp file and a rename.
+def write(paths: Sequence, chunks: Iterable[Sequence[str]]) -> None:
+    """Write string i of each chunk, in order, to ``paths[i]``.
 
-    The temp file sits next to ``path`` under a random name, so concurrent
-    writers never share one, and is removed if the write or rename fails,
-    including when producing a chunk raises; ``path`` is then untouched.
+    Each path gets a private temp file next to it under a random name, so
+    concurrent writers never share one.  If opening, producing or writing
+    a chunk, or a rename fails, every temp file not yet renamed is
+    removed, so no target is touched but those renamed before.
     """
-    path = os.fspath(path)
-    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8", newline="")
+    files, renamed = [], 0
     try:
-        with fh:
-            fh.writelines([text] if isinstance(text, str) else text)
-        os.replace(tmp, path)
+        try:
+            for path in paths:
+                files.append(open(
+                    f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp", "xb"))
+            for chunk in chunks:
+                for fh, text in zip(files, chunk, strict=True):
+                    fh.write(text.encode())
+        finally:
+            for fh in files:
+                fh.close()
+        for fh, path in zip(files, paths):
+            os.replace(fh.name, path)
+            renamed += 1
     except BaseException:
-        os.unlink(tmp)
+        for fh in files[renamed:]:
+            os.unlink(fh.name)
         raise
 
 
@@ -62,9 +72,10 @@ def json_text(payload) -> str:
     return json.JSONEncoder(indent=2).encode(payload) + "\n"
 
 
-# rows per chunk of a streamed table; a chunk's text and its encoded copy
-# set a report run's peak memory: 2^12 rows cost ~2 MB more than 2^10
-_ROW_BLOCK = 1 << 10
+# rows per chunk of a streamed table: the widest sampled row (Hadamard
+# n = 20) takes ~260 JSON bytes, so a chunk stays near 67 KB, under glibc's
+# 128 KiB mmap threshold, and no block's memory depends on heap layout
+_ROW_BLOCK = 1 << 8
 SLOT = "<slot>"  # stands for a cell that varies from row to row
 
 
@@ -79,48 +90,56 @@ class Rows(NamedTuple):
     block: Callable
 
 
-def _stream(text: str, cells, rows: Rows) -> Iterator[str]:
-    # ``text`` holds two template rows and ``cells`` renders a list of
+def _stream(texts: Sequence[str], cells, rows: Rows) -> Iterator[list[str]]:
+    # each text holds two template rows and its ``cells`` renders a list of
     # values in its format.  Split at the rendered slot, it gives the text
     # before, inside, between and after the rows.  A row is its key's
     # prefix (the joint and the row up to its last slot) and last cell.
-    parts = text.split(cells([SLOT])[0])
-    joint = parts[len(parts) // 2]
-    prefix = "{}".join(part.replace("{", "{{").replace("}", "}}")
-                       for part in parts[len(parts) // 2:-1]).format
+    splits = [text.split(render([SLOT])[0])
+              for text, render in zip(texts, cells)]
+    joints = [parts[len(parts) // 2] for parts in splits]
+    prefixes = ["{}".join(part.replace("{", "{{").replace("}", "}}")
+                          for part in parts[len(parts) // 2:-1]).format
+                for parts in splits]
 
-    def block(start: int) -> str:  # frees its rows before they are written
+    def block(start: int) -> list[str]:  # one row build for every file
         keys, distinct, key_cells, last = rows.block(
             start, min(start + _ROW_BLOCK, rows.size))
-        prefixes = dict(zip(distinct, map(prefix, *map(cells, key_cells))))
-        pieces = [joint] * (2 * len(last))
-        pieces[::2] = map(prefixes.__getitem__, keys)
-        pieces[1::2] = map(repr, last)
-        if start == 0:  # no joint before the first row
-            pieces[0] = pieces[0][len(joint):]
-        return "".join(pieces)
+        last = list(map(repr, last))
+        chunk = []
+        for joint, prefix, render in zip(joints, prefixes, cells):
+            by_key = dict(zip(distinct, map(prefix, *map(render, key_cells))))
+            pieces = [joint] * (2 * len(last))
+            pieces[::2] = map(by_key.__getitem__, keys)
+            pieces[1::2] = last
+            if start == 0:  # no joint before the first row
+                pieces[0] = pieces[0][len(joint):]
+            chunk.append("".join(pieces))
+        return chunk
 
-    yield parts[0]
+    yield [parts[0] for parts in splits]
     yield from map(block, range(0, rows.size, _ROW_BLOCK))
-    yield parts[-1]
+    yield [parts[-1] for parts in splits]
 
 
-def csv_chunks(fieldnames: Sequence[str], rows) -> Iterable[str]:
-    """:func:`csv_text` in chunks, for row dicts or :class:`Rows`."""
-    if not isinstance(rows, Rows):
-        return [csv_text(fieldnames, rows)]
-    return _stream(csv_text(fieldnames, [rows.template] * 2),
-                   lambda values: list(map(render_value, values)), rows)
-
-
-def json_chunks(payload: dict) -> Iterable[str]:
-    """:func:`json_text` in chunks, :class:`Rows` under "rows" included."""
+def chunks(payload: dict, fieldnames: Sequence[str] | None,
+           json: bool) -> Iterable[list[str]]:
+    """The CSV text of payload["rows"] under ``fieldnames`` (unless None),
+    then the JSON text of ``payload`` (if ``json``), as chunks of one
+    string per file; :class:`Rows` are rendered a block per chunk."""
     rows = payload.get("rows")
-    if not isinstance(rows, Rows):
-        return [json_text(payload)]
-    import json
+    streamed = isinstance(rows, Rows)
+    if streamed:
+        payload = {**payload, "rows": [rows.template] * 2}
+    texts, cells = [], []
+    if fieldnames is not None:
+        texts.append(csv_text(fieldnames, payload["rows"]))
+        cells.append(lambda values: list(map(render_value, values)))
+    if json:
+        from json import dumps
 
-    # one C-encoded list parted at raw newlines, which JSON text never has
-    return _stream(json_text({**payload, "rows": [rows.template] * 2}),
-                   lambda values: json.dumps(values, separators=(
-                       "\n", ":"))[1:-1].split("\n"), rows)
+        texts.append(json_text(payload))
+        # one C-encoded list parted at raw newlines, which JSON text never has
+        cells.append(lambda values: dumps(values, separators=(
+            "\n", ":"))[1:-1].split("\n"))
+    return _stream(texts, cells, rows) if streamed else [texts]

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qfp
-from qfp import cli, reports
+from qfp import cli, protocol, reports
 from qfp.cli import main, parse_length, parse_time
 from qfp.errors import LIMITS
 
@@ -286,7 +286,66 @@ class TestRunCommand:
              "--out", "run.csv", "--json", "run.json"], tmp_path)
         assert rc == 0
         assert (tmp_path / "run.csv").read_bytes().count(b"\n") == 300_001
-        assert peak_mb < 150
+        assert peak_mb < 45
+
+    def test_one_row_build_per_block(self, tmp_path, monkeypatch):
+        # the CSV and the JSON are rendered from one Rows.block call per
+        # block, made in order
+        calls = []
+        batch_rows = protocol.batch_rows
+
+        def counted(*args):
+            rows = batch_rows(*args)
+
+            def block(start, stop):
+                calls.append((start, stop))
+                return rows.block(start, stop)
+
+            return rows._replace(block=block)
+
+        monkeypatch.setattr(protocol, "batch_rows", counted)
+        trials, size = 5 * reports._ROW_BLOCK + 3, reports._ROW_BLOCK
+        assert main(["run", "--code", "hadamard", "--n", "4", "--x", "0000",
+                     "--y", "0110", "--k", "10", "--trials", str(trials),
+                     "--out", str(tmp_path / "r.csv"),
+                     "--json", str(tmp_path / "r.json")]) == 0
+        assert calls == [(start, min(start + size, trials))
+                         for start in range(0, trials, size)]
+
+    @pytest.mark.parametrize("out, json_path, config", [
+        ("r", "r", ""), ("r", "./r", ""), ("r", None, "json = r\n"),
+    ], ids=["flags", "spelled-apart", "config"])
+    def test_same_path_for_both_reports_refused(self, tmp_path, monkeypatch,
+                                                capsys, out, json_path,
+                                                config):
+        # a usage error before anything is computed, flags and config
+        # file alike; nothing is printed or written
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", "--code", "hadamard", "--n", "4", "--x", "0000",
+                "--y", "0110", "--k", "3", "--trials", "10", "--out", out]
+        if json_path is not None:
+            argv += ["--json", json_path]
+        if config:
+            (tmp_path / "c.cfg").write_text("[run]\n" + config)
+            argv += ["--config", "c.cfg"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--out and --json" in captured.err
+        assert sorted(os.listdir(tmp_path)) == (["c.cfg"] if config else [])
+
+    def test_failed_report_write_leaves_nothing(self, tmp_path, monkeypatch,
+                                                capsys):
+        # the JSON's directory is missing: neither file is written, no
+        # temp file is left and no "wrote" line is printed
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--code", "hadamard", "--n", "4", "--x", "0000",
+                     "--y", "0110", "--k", "3", "--trials", "10",
+                     "--out", "ok.csv", "--json", "missing_dir/r.json"]) == 1
+        captured = capsys.readouterr()
+        assert "wrote" not in captured.out
+        assert captured.err.startswith("error: ")
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("argv", [
         ["run", "--code", "hadamard", "--n", "4", "--x", "0000",

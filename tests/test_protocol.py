@@ -471,8 +471,9 @@ class TestReportRows:
         code = hadamard_code(4)
         params = ProtocolParams(4, code, 4, 0.01)
         batch = run_batch(params, "0011", "0001", master_seed=21, trials=5)
-        text = "".join(reports.csv_chunks(
-            RUN_CSV_FIELDS, batch_rows(params, "0011", "0001", batch)))
+        text = "".join(chunk for [chunk] in reports.chunks(
+            {"rows": batch_rows(params, "0011", "0001", batch)},
+            RUN_CSV_FIELDS, False))
         reader = csv.reader(io.StringIO(text))
         header = next(reader)
         rows = [dict(zip(header, cells)) for cells in reader]
@@ -510,9 +511,10 @@ def _phase_dict_rows(q, pairs):
 
 
 def _rendered(fieldnames, payload, rows):
-    """CSV and JSON text of a streamed table, ``rows`` under "rows"."""
-    return ("".join(reports.csv_chunks(fieldnames, rows)),
-            "".join(reports.json_chunks({**payload, "rows": rows})))
+    """CSV and JSON text of a streamed table, ``rows`` under "rows",
+    rendered in one pass."""
+    chunks = reports.chunks({**payload, "rows": rows}, fieldnames, True)
+    return tuple(map("".join, zip(*chunks)))
 
 
 class TestStreamedReports:
@@ -571,3 +573,25 @@ class TestStreamedReports:
                              phase_rows(q, table, avg, indices)) == (
                 reports.csv_text(PHASE_CSV_FIELDS, rows),
                 reports.json_text({**payload, "rows": rows}))
+
+    def test_chunks_stay_under_the_mmap_threshold(self):
+        # the widest sampled row an admitted code renders (Hadamard n = 20,
+        # k = 65536, every seed 2^64 - 1) and the largest phase table: no
+        # chunk of either file reaches glibc's default 128 KiB mmap
+        # threshold, so a block's memory does not depend on heap layout
+        code, k, seed = hadamard_code(20), 65536, 2**64 - 1
+        params = ProtocolParams(code.n, code, k, 0.01)
+        clicks = np.full(3 * reports._ROW_BLOCK, k, dtype=np.uint32)
+        sampled = batch_rows(params, "1" * 20, "0" * 19 + "1",
+                             BatchResult(2.2250738585072014e-308, k, seed,
+                                         clicks))
+        widest = sampled._replace(block=lambda start, stop: (
+            *sampled.block(start, stop)[:3], [seed] * (stop - start)))
+        q = math.isqrt(LIMITS["phase pairs"])
+        table, avg = phase_protocol_table(q)
+        for fieldnames, rows in [
+                (RUN_CSV_FIELDS, widest),
+                (PHASE_CSV_FIELDS, phase_rows(q, table, avg, range(q * q)))]:
+            sizes = [len(text) for chunk in reports.chunks(
+                {"rows": rows}, fieldnames, True) for text in chunk]
+            assert max(sizes) < 128 * 1024
