@@ -415,9 +415,7 @@ def cmd_feasibility(args) -> int:
 
 def cmd_codes(args) -> int:
     if args.action == "export":
-        ns = argparse.Namespace(code=args.kind, n=args.n, r=args.r, m=args.m,
-                                code_seed=args.seed, code_file=None)
-        code = _build_code(ns)
+        code = _build_code(args)
         ecc.save_code(code, args.out)
         print(f"wrote {args.out}: n={code.n} m={code.m} t={code.t} "
               f"kind={code.kind.value}")
@@ -525,13 +523,15 @@ def build_parser() -> _Parser:
     cod = sub.add_parser("codes", help="code file tools")
     cod_sub = cod.add_subparsers(dest="action", parser_class=_Parser)
     exp = cod_sub.add_parser("export")
-    exp.add_argument("--kind", required=True,
+    # parsed into run's option names, so _build_code reads them as they are
+    exp.add_argument("--kind", required=True, dest="code", metavar="KIND",
                      help="identity | repetition | hadamard | random")
     exp.add_argument("--n", type=int, required=True)
     exp.add_argument("--r", type=int)
     exp.add_argument("--m", type=int)
-    exp.add_argument("--seed", type=int)
+    exp.add_argument("--seed", type=int, dest="code_seed", metavar="SEED")
     exp.add_argument("--out", required=True)
+    exp.set_defaults(code_file=None)
     show = cod_sub.add_parser("show", aliases=["import"])
     show.add_argument("--in", dest="infile", required=True)
     ver = cod_sub.add_parser("verify")

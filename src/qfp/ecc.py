@@ -209,7 +209,9 @@ def min_distance_bruteforce(code: Code) -> int:
     """Exhaustive minimum distance: the smallest nonzero-codeword weight.
 
     Independent of the declared ``code.t``; use it to certify declarations.
+    The oracle is charged to the budget before the generator is built.
     """
+    kernels.check_oracle(code.n, code.m)
     return kernels.min_nonzero_weight(code.generator)
 
 

@@ -24,9 +24,12 @@ class ResourceLimitError(QfpError, RuntimeError):
 # The work budget: the most of each counted resource one request may ask
 # for, checked by :func:`check` before the work starts
 LIMITS = {
-    # k x trials rounded up to whole blocks (kernels.check_runs);
-    # 2^30 noisy runs take ~30 s
+    # k x trials rounded up to whole blocks (kernels.check_runs), times
+    # the points of a dark-count sweep; 2^30 noisy runs take ~30 s
     "runs": 1 << 30,
+    # dark probabilities of one sweep: each adds (points x block) arrays
+    # to every kernel block; 2^8 points peak near 58 MB
+    "sweep points": 1 << 8,
     # q = 300 with --all-pairs --out --json peaks near 32 MB in ~1 s
     "phase pairs": 300**2,
     # n x m, every code kind, charged when the code is made even where

@@ -37,10 +37,11 @@ Block contract
 --------------
 The batch samplers work through their trials in blocks of at most
 ``_TRIAL_BLOCK``.  Block ``[a, b)`` derives its own substream seeds,
-outputs ``a + 1 .. b`` of the master stream, takes every draw of those
-trials and writes their results into ``out[a:b]``.  No block reads another
-block's state, so the result is bit-identical for every block size, and
-memory beyond the result array is O(block), whatever the trial count.
+outputs ``a + 1 .. b`` of the master stream, and takes every draw of those
+trials; :func:`click_counts` writes the results into ``out[a:b]`` and
+:func:`noise_verdicts` yields them.  No block reads another block's state,
+so the results are bit-identical for every block size, and memory beyond
+the result array is O(block), whatever the trial count.
 """
 
 from __future__ import annotations
@@ -97,18 +98,18 @@ def derive_stream_seeds(master_seed: int, trials: int,
     return splitmix64_stream(master_seed, trials, start)
 
 
-def check_runs(k: int, trials: int) -> None:
-    """Charge ``trials`` protocols of ``k`` runs to the work budget, a
-    started block of trials as a full one (it costs as many numpy calls)."""
-    check("runs", k, -(-trials // _TRIAL_BLOCK) * _TRIAL_BLOCK)
+def check_runs(k: int, trials: int, points: int = 1) -> None:
+    """Charge ``trials`` protocols of ``k`` runs, evaluated at ``points``
+    sweep points, to the work budget, a started block of trials as a full
+    one (it costs as many numpy calls)."""
+    check("runs", k, -(-trials // _TRIAL_BLOCK) * _TRIAL_BLOCK, points)
 
 
-def _trial_blocks(master_seed: int, trials: int, first: int = 0):
-    # (offset, substream seeds) of each block of trials first .. first +
-    # trials - 1, in trial order; offset counts from trial ``first``
+def _trial_blocks(master_seed: int, trials: int):
+    # (offset, substream seeds) of each block of trials, in trial order
     for start in range(0, trials, _TRIAL_BLOCK):
         count = min(_TRIAL_BLOCK, trials - start)
-        yield start, derive_stream_seeds(master_seed, count, first + start)
+        yield start, derive_stream_seeds(master_seed, count, start)
 
 
 _ALWAYS, _NEVER = 0, 1 << 64  # cuts every output passes / none reaches
@@ -215,10 +216,9 @@ def _dark_count_cdf(n: int, p: float) -> np.ndarray:
 
 
 def noise_verdicts(p_zero: float, p_one: float, p_survive: float,
-                   p_click_n: float, dark_prob, dark_slots: int,
-                   k: int, trials: int, master_seed: int,
-                   first: int = 0) -> np.ndarray:
-    """Simulate ``trials`` noisy k-run protocols; verdict codes per trial.
+                   p_click_n: float, dark_probs, dark_slots: int,
+                   k: int, trials: int, master_seed: int):
+    """Simulate ``trials`` noisy k-run protocols; yield verdict codes.
 
     Per run: the source emits 0 / 1 / >=2 photons with probabilities
     (p_zero, p_one, rest); a single photon reaches a detector with
@@ -230,11 +230,10 @@ def noise_verdicts(p_zero: float, p_one: float, p_survive: float,
     trial: 0 = Equal (kept runs, none N), 1 = NotEqual (some kept run N),
     2 = abort (no run kept).
 
-    ``dark_prob`` is one probability, or a sequence of them for a sweep:
-    then row ``i`` of the result holds the verdicts of ``dark_prob[i]``,
-    all rows from one pass of draws, each output compared with every
-    row's cuts.  The trials are ``first .. first + trials - 1`` of the
-    master stream, so a run can be evaluated a range of trials at a time.
+    Every dark probability in the sequence ``dark_probs`` is evaluated
+    from one pass of draws, each output compared with every probability's
+    cuts.  For each block of trials, in trial order, this yields a uint8
+    array whose row ``i`` holds the verdicts of ``dark_probs[i]``.
     """
     photon = [_u01_cut(p_zero), _u01_cut(p_zero + p_one)]
     survive = [_u01_cut(float(p_survive))]
@@ -245,13 +244,12 @@ def noise_verdicts(p_zero: float, p_one: float, p_survive: float,
     # cuts of every probability in turn, ``w`` per probability
     dark_slots = int(dark_slots)
     w = min(dark_slots, 2)
-    dark_probs = np.ravel(dark_prob)
+    points = len(dark_probs)
     dark = [_u01_cut(c) for p in dark_probs
             for c in _dark_count_cdf(dark_slots, float(p))[:w]]
-    verdicts = np.empty((dark_probs.size, trials), dtype=np.uint8)
-    for start, seeds in _trial_blocks(master_seed, trials, first):
+    for _, seeds in _trial_blocks(master_seed, trials):
         draws = _Draws(seeds)
-        kept = np.zeros((dark_probs.size, seeds.shape[0]), dtype=np.bool_)
+        kept = np.zeros((points, seeds.shape[0]), dtype=np.bool_)
         any_n = np.zeros_like(kept)
         for run in range(int(k)):
             # five draws per run in this order; reordering changes every
@@ -266,7 +264,7 @@ def noise_verdicts(p_zero: float, p_one: float, p_survive: float,
             single = ~multi
             dark_e = draws.at_least(j + 4, dark)
             dark_n = draws.at_least(j + 5, dark)
-            for i in range(dark_probs.size):
+            for i in range(points):
                 tot_e, tot_n = signal_e, signal_n
                 for fired in dark_e[i * w:(i + 1) * w]:
                     tot_e = tot_e + fired
@@ -275,8 +273,7 @@ def noise_verdicts(p_zero: float, p_one: float, p_survive: float,
                 valid = single & (tot_e + tot_n == 1)
                 kept[i] |= valid
                 any_n[i] |= valid & (tot_n == 1)
-        verdicts[:, start:start + seeds.shape[0]] = np.where(kept, any_n, 2)
-    return verdicts if np.ndim(dark_prob) else verdicts[0]
+        yield np.where(kept, any_n, np.uint8(2))
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +281,8 @@ def noise_verdicts(p_zero: float, p_one: float, p_survive: float,
 # ---------------------------------------------------------------------------
 
 # message weights tallied per step: one block's 64-bit ``hi ^ lo`` words
-# take 1 MiB
-_WEIGHT_BLOCK = 1 << 17
+# take 256 KiB, so the oracle's temporaries stay near 0.3 MB
+_WEIGHT_BLOCK = 1 << 15
 
 
 def _pack_rows(generator: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import DomainError
+from .errors import DomainError, check
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact SI value
 DEFAULT_FIBER_INDEX = 1.468
@@ -130,9 +130,6 @@ class NoiseRates:
     abort_stderr: float
 
 
-_TALLY_BLOCK = 1 << 14  # trials drawn and tallied per kernel call
-
-
 def _rate(count: int, trials: int) -> tuple[float, float]:
     r = count / trials
     return r, math.sqrt(r * (1.0 - r) / trials)
@@ -165,8 +162,9 @@ def dark_count_sweep(model: ImperfectionModel, dark_probs, p_not_equal: float,
     """:func:`conditional_error_with_noise` of ``model`` at each dark count
     probability in ``dark_probs``, all from one pass of draws.
 
-    Every value is checked before any run is drawn, and the runs are
-    charged to the work budget once, since the points share their draws.
+    Every value is checked, and the sweep points and the runs times the
+    points are charged to the work budget, before any run is drawn.  Each
+    block of the kernel's verdicts is tallied as it arrives.
     """
     for dark in dark_probs:  # checked as the model checks it
         replace(model, dark_count_prob=dark)
@@ -174,7 +172,8 @@ def dark_count_sweep(model: ImperfectionModel, dark_probs, p_not_equal: float,
         raise DomainError(f"p_not_equal must lie in [0, 1], got {p_not_equal!r}")
     if k < 1 or trials < 1:
         raise DomainError("k and trials must be >= 1")
-    kernels.check_runs(k, trials)
+    check("sweep points", len(dark_probs))
+    kernels.check_runs(k, trials, len(dark_probs))
     if model.deterministic_source:
         p0, p1 = 0.0, 1.0
     else:
@@ -183,15 +182,10 @@ def dark_count_sweep(model: ImperfectionModel, dark_probs, p_not_equal: float,
         slots = max(feasible_d(model).d_fiber, 0)
     elif not 0 <= slots <= sys.float_info.max:
         raise DomainError(f"slots must lie in 0..float max, got {slots}")
-    # verdicts are drawn and tallied a range of trials at a time, so only
-    # one range of them is held, whatever the trial count
     tally = np.zeros((len(dark_probs), 3), dtype=np.int64)
-    for first in range(0, trials, _TALLY_BLOCK):
-        verdicts = kernels.noise_verdicts(
+    for verdicts in kernels.noise_verdicts(
             p0, p1, model.transmission * model.detector_efficiency,
-            p_not_equal, dark_probs, slots, k,
-            min(_TALLY_BLOCK, trials - first), seed, first,
-        )
+            p_not_equal, dark_probs, slots, k, trials, seed):
         for counts, row in zip(tally, verdicts):
             counts += np.bincount(row, minlength=3)
     truth_equal = p_not_equal == 0.0

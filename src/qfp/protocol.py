@@ -120,8 +120,9 @@ def _port_table(code: Code, x, y) -> tuple[np.ndarray, np.ndarray]:
     return interferometer(_CLASS_PHASES, code.m), pair
 
 
-# modes gathered per leaf of pN's sum: at least numpy's pairwise block of
-# 128 values, so no leaf splits a range that numpy sums in one piece
+# modes gathered at once, per leaf of pN's sum and per step of the
+# threshold's: at least numpy's pairwise block of 128 values, so no leaf
+# splits a range that numpy sums in one piece
 _PN_LEAF = 1 << 16
 
 
@@ -147,9 +148,6 @@ def run_exact(code: Code, x, y) -> float:
     return _pairwise_sum(table[1], pair)
 
 
-_CUT_BLOCK = 1 << 16  # modes gathered per step of the threshold's sum
-
-
 def _sampling_inputs(code: Code, x, y) -> tuple[float, float]:
     # pN as run_exact sums it, and the samplers' threshold c: the E-port
     # probabilities summed left to right, the total carried block to
@@ -159,8 +157,8 @@ def _sampling_inputs(code: Code, x, y) -> tuple[float, float]:
     if pn == 0.0:
         return pn, 1.0
     c = 0.0
-    for lo in range(0, pair.shape[0], _CUT_BLOCK):
-        block = table[0][pair[lo:lo + _CUT_BLOCK]]
+    for lo in range(0, pair.shape[0], _PN_LEAF):
+        block = table[0][pair[lo:lo + _PN_LEAF]]
         c = float(np.cumsum(np.append(c, block))[-1])
     return pn, c
 
@@ -318,13 +316,15 @@ def batch_rows(params: ProtocolParams, x, y,
     """Report rows of a batch, one per trial, replayable from its seed:
     keyed by N-click count, which gives the verdict too, seed last."""
     def block(start, stop):
-        clicks = batch.n_clicks[start:stop]
-        counts = np.unique(clicks).tolist()
+        # distinct counts from the keys, not np.unique, which imports all
+        # of numpy.ma on its first call
+        clicks = batch.n_clicks[start:stop].tolist()
+        counts = sorted(set(clicks))
         verdicts = [(Verdict.NOT_EQUAL if count else Verdict.EQUAL).value
                     for count in counts]
         seeds = kernels.derive_stream_seeds(batch.master_seed, stop - start,
                                             start)
-        return clicks.tolist(), counts, [verdicts, counts], seeds.tolist()
+        return clicks, counts, [verdicts, counts], seeds.tolist()
 
     return reports.Rows(_run_row(params.code, params.k, x, y, batch.pn_exact,
                                  *[reports.SLOT] * 3), batch.trials, block)

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qfp
-from qfp import cli, protocol, reports
+from qfp import cli, ecc, protocol, reports
 from qfp.cli import main, parse_length, parse_time
 from qfp.errors import LIMITS
 
@@ -665,6 +665,19 @@ class TestCodesCommand:
         assert rc == 0
         assert peak_mb < 45
 
+    def test_verify_hadamard_20_charged_before_its_generator(self, tmp_path):
+        # the oracle's budget refuses the file before its 20 MiB generator
+        # is built (48.6 MB when it was built first)
+        assert main(["codes", "export", "--kind", "hadamard", "--n", "20",
+                     "--out", str(tmp_path / "had.code")]) == 0
+        with open(tmp_path / "verify.err", "wb") as err:
+            rc, _, peak_mb = run_child(["codes", "verify", "--in", "had.code"],
+                                       tmp_path, stderr=err)
+        assert rc == 2
+        assert peak_mb < 40
+        assert "resource limit: oracle word steps: " in (
+            tmp_path / "verify.err").read_text()
+
     def test_non_utf8_code_file_is_format_error(self, tmp_path, capsys):
         path = tmp_path / "bad.code"
         path.write_bytes(b"\xff\xfe1 1 1 Identity\n1\n")
@@ -701,9 +714,20 @@ def _sampled(trials, k=65536, *reports):
             "--y", "0110", "--k", str(k), "--trials", str(trials), *reports]
 
 
+def _sweep(points, k=1):
+    return ["feasibility", "--noise", "--pn", "0.25", "--k", str(k),
+            "--trials", str(1 << 14), "--sweep-dark",
+            ",".join(["1e-4"] * points)]
+
+
 BUDGET_EDGES = {
-    # k x one started block: 2^16 x 2^14 runs
-    "runs": (_sampled(1 << 14), _sampled((1 << 14) + 1)),
+    # k x one started block: 2^16 x 2^14 runs, then a sweep whose second
+    # point alone takes it past the limit
+    "runs": (_sampled(1 << 14), _sampled((1 << 14) + 1),
+             _sweep(2, 1 << 16)),
+    # each point adds (points x block) arrays to every kernel block
+    "sweep points": (_sweep(LIMITS["sweep points"]),
+                     _sweep(LIMITS["sweep points"] + 1)),
     "generator entries": (
         ["codes", "export", "--kind", "hadamard", "--n", "20",
          "--out", "c.txt"],
@@ -883,6 +907,18 @@ class TestTopLevel:
         assert {f"qfp.{layer}" for layer in layers} <= set(out)
         assert not set(unused) & set(out)
 
+    def test_sampled_report_imports_no_numpy_ma(self, tmp_path):
+        # np.unique would import all of numpy.ma on its first call
+        script = ("import sys; from qfp.cli import main; main(sys.argv[1:]);"
+                  " print('numpy.ma' in sys.modules)")
+        out = subprocess.run(
+            [sys.executable, "-c", script,
+             *_sampled(300, 3, "--out", "r.csv", "--json", "r.json")],
+            cwd=tmp_path, env=CHILD_ENV, capture_output=True, text=True,
+            check=True).stdout.split()
+        assert (tmp_path / "r.csv").exists()
+        assert out[-1] == "False"
+
     def test_unit_equivalence_end_to_end(self, tmp_path):
         j1, j2 = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["feasibility", "--L", "10km", "--period", "1ns",
@@ -942,6 +978,98 @@ FUZZ_ARGV = st.one_of(
 )
 
 
+def _splice(text: bytes, at: int, cut: int, insert: bytes) -> bytes:
+    at %= len(text) + 1
+    return text[:at] + insert + text[at + cut:]
+
+
+def _saved(code) -> bytes:
+    buf = io.StringIO()
+    ecc.save_code(code, buf)
+    return buf.getvalue().encode()
+
+
+def _code_text(n, m, t, kind, rows) -> bytes:
+    return "".join(f"{line}\n" for line in [f"{n} {m} {t} {kind}",
+                                              *rows]).encode()
+
+
+SAVED_CODES = st.one_of(
+    st.builds(ecc.identity_code, st.integers(1, 5)),
+    st.builds(ecc.repetition_code, st.integers(1, 4), st.integers(1, 3)),
+    st.builds(ecc.hadamard_code, st.integers(1, 4)),
+    st.builds(ecc.random_linear_code, st.integers(1, 5), st.integers(1, 12),
+              st.integers(0, 3)),
+).map(_saved)
+HEADER_FIELDS = ["0", "1", "2", "3", "5", "6", "8", "-1", "3.0", "x",
+                 str(2**64), str(10**400)]
+CODE_FILES = st.one_of(
+    SAVED_CODES,
+    # a few bytes cut or inserted anywhere
+    st.builds(_splice, SAVED_CODES, st.integers(0, 63), st.integers(0, 4),
+              st.binary(max_size=4)),
+    # every header kind, and wrong ones, over short bit rows
+    st.builds(_code_text, *[st.sampled_from(HEADER_FIELDS)] * 3,
+              st.sampled_from([*(k.value for k in ecc.CodeKind),
+                               "hadamard", ""]),
+              st.lists(st.text("01", max_size=9), max_size=5)),
+    st.binary(max_size=64),
+)
+
+
+def _messages(data: bytes) -> list[str]:
+    # --x and --y of the header's n when it is small, else of n = 3
+    head = data.split(maxsplit=1)[:1]
+    n = int(head[0]) if head and head[0].isdigit() else 3
+    n = n if 1 <= n <= 64 else 3
+    return ["--x", "1" * n, "--y", "0" * (n - 1) + "1"]
+
+
+# a well-formed section per subcommand; the fuzzed entries replace or add
+# keys, their values drawn from the fuzzed numbers, the key's own sample
+# and a few strings other keys take
+CONFIG_BASES = {
+    "run": {"code": "hadamard", "n": "3", "x": "101", "y": "011",
+            "trials": "5", "out": "r.csv", "json": "r.json"},
+    "classical": {"q": "3", "alice": "2", "bob": "2", "out": "s.csv"},
+    "feasibility": {"noise": "true", "pn": "0.25", "trials": "100",
+                    "out": "f.csv"},
+}
+CONFIG_VALUES = [*NUMBERS, "", "hadamard", "random", "0101", "101", "yes",
+                 "1km", "1ns", "0,1e-5"]
+
+
+def _config_text(command, entries) -> bytes:
+    section = {**CONFIG_BASES[command], **dict(entries)}
+    return "".join(f"{line}\n" for line in [f"[{command}]", *(
+        f"{key} = {value}" for key, value in section.items())]).encode()
+
+
+def _config_files(command):
+    samples = {**CONFIG_SAMPLES[command], "bogus": ("1", None)}
+    entries = st.lists(st.sampled_from(sorted(samples)).flatmap(
+        lambda key: st.tuples(st.just(key), st.one_of(
+            st.just(samples[key][0]), st.sampled_from(CONFIG_VALUES)))),
+        max_size=4)
+    return st.tuples(st.just(command), st.one_of(
+        entries.map(lambda e: _config_text(command, e)),
+        st.binary(max_size=64).map(
+            lambda raw: _config_text(command, []) + raw)))
+
+
+CONFIG_FILES = st.one_of(*map(_config_files, sorted(CONFIG_BASES)))
+
+
+@contextlib.contextmanager
+def _quiet_scratch():
+    # a fresh working directory, stdout and stderr captured
+    with tempfile.TemporaryDirectory() as scratch, \
+            contextlib.chdir(scratch), \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        yield
+
+
 class TestFuzz:
     @settings(max_examples=600, deadline=None)
     @given(argv=FUZZ_ARGV)
@@ -989,8 +1117,24 @@ class TestFuzz:
     def test_every_input_ends_in_an_exit_code(self, argv):
         # an exception escaping main would be a traceback at the command
         # line; reports are written to a scratch directory
-        with tempfile.TemporaryDirectory() as scratch, \
-                contextlib.chdir(scratch), \
-                contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
+        with _quiet_scratch():
             assert main(argv) in (0, 1, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=CODE_FILES)
+    def test_every_code_file_ends_in_an_exit_code(self, data):
+        with _quiet_scratch():
+            Path("f.code").write_bytes(data)
+            for argv in (["codes", "show", "--in", "f.code"],
+                         ["codes", "verify", "--in", "f.code"],
+                         ["run", "--code-file", "f.code", "--exact",
+                          *_messages(data)]):
+                assert main(argv) in (0, 1, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(config=CONFIG_FILES)
+    def test_every_config_file_ends_in_an_exit_code(self, config):
+        command, data = config
+        with _quiet_scratch():
+            Path("c.cfg").write_bytes(data)
+            assert main([command, "--config", "c.cfg"]) in (0, 1, 2)

@@ -127,6 +127,13 @@ class TestRunBudget:
         with pytest.raises(ResourceLimitError):
             kernels.check_runs(full + 1, 1)
 
+    def test_sweep_points_multiply_the_runs(self):
+        # every point compares every output with its own cuts
+        full = LIMITS["runs"] // kernels._TRIAL_BLOCK
+        kernels.check_runs(full // 4, 1, 4)
+        with pytest.raises(ResourceLimitError, match="runs: "):
+            kernels.check_runs(full // 4, 1, 5)
+
     def test_largest_suite_run_admitted(self):
         kernels.check_runs(10, 10_000_000)
 
@@ -316,36 +323,39 @@ def _reference_noise_verdicts(p_zero, p_one, p_survive, p_click_n,
     return np.where(survived == 0, 2, np.where(any_n, 1, 0)).astype(np.uint8)
 
 
+def _verdicts(p_zero, p_one, p_survive, p_click_n, dark_prob, *rest):
+    """The kernel's verdicts of one dark probability, its blocks joined."""
+    [row] = np.concatenate(list(kernels.noise_verdicts(
+        p_zero, p_one, p_survive, p_click_n, [dark_prob], *rest)), axis=1)
+    return row
+
+
 class TestNoiseVerdicts:
     @pytest.mark.parametrize("slots", DARK_SLOTS)
     @pytest.mark.parametrize("p", DARK_PROBS)
     def test_matches_full_table_reference(self, slots, p):
         args = (0.1, 0.8, 0.9, 0.25, p, slots, 3, 400, slots + 7)
-        assert np.array_equal(kernels.noise_verdicts(*args),
+        assert np.array_equal(_verdicts(*args),
                               _reference_noise_verdicts(*args))
 
     def test_golden_bytes(self):
-        verdicts = kernels.noise_verdicts(0.2, 0.7, 0.9, 0.4, 1e-3, 200,
-                                          6, 800, 2024)
+        verdicts = _verdicts(0.2, 0.7, 0.9, 0.4, 1e-3, 200, 6, 800, 2024)
         assert verdicts.dtype == np.uint8
         assert _sha256(verdicts) == ("458f31734591c3e720e6bb90d65a6020"
                                      "4474138fde781abf1548c7c87091501c")
 
     def test_clean_limit_never_aborts(self):
         # perfect source and detectors, no dark counts
-        verdicts = kernels.noise_verdicts(0.0, 1.0, 1.0, 0.5, 0.0, 100,
-                                          4, 3_000, 11)
+        verdicts = _verdicts(0.0, 1.0, 1.0, 0.5, 0.0, 100, 4, 3_000, 11)
         assert not np.any(verdicts == 2)
 
     def test_all_vacuum_always_aborts(self):
-        verdicts = kernels.noise_verdicts(1.0, 0.0, 1.0, 0.5, 0.0, 100,
-                                          3, 500, 12)
+        verdicts = _verdicts(1.0, 0.0, 1.0, 0.5, 0.0, 100, 3, 500, 12)
         assert np.all(verdicts == 2)
 
     def test_clean_equal_inputs_never_flag(self):
         # pN = 0 and no dark counts: NotEqual is impossible
-        verdicts = kernels.noise_verdicts(0.0, 1.0, 1.0, 0.0, 0.0, 100,
-                                          5, 5_000, 13)
+        verdicts = _verdicts(0.0, 1.0, 1.0, 0.0, 0.0, 100, 5, 5_000, 13)
         assert not np.any(verdicts == 1)
 
 
@@ -375,24 +385,25 @@ class TestBlockedTrials:
     @pytest.mark.parametrize("slots,p", [(0, 0.0), (3, 0.3), (1000, 1e-4)])
     def test_noise_verdicts(self, trial_block, slots, p):
         args = (0.1, 0.8, 0.9, 0.25, p, slots, 4, BLOCK_TRIALS, 17)
-        got = kernels.noise_verdicts(*args)
+        got = _verdicts(*args)
         assert got.dtype == np.uint8
         assert np.array_equal(got, _reference_noise_verdicts(*args))
 
     @pytest.mark.parametrize("slots", [0, 1, 3, 1000])
     def test_noise_verdicts_sweep_rows(self, trial_block, slots):
-        # one pass of draws gives every dark probability's verdicts, and
-        # any range of trials gives that slice of the whole run
+        # one pass of draws gives every dark probability's verdicts, one
+        # uint8 row per probability in each block of trials
         darks = (0.0, 1e-3, 0.3, 0.0)
         args = (0.1, 0.8, 0.9, 0.25, darks, slots, 4, BLOCK_TRIALS, 17)
-        got = kernels.noise_verdicts(*args)
-        assert got.dtype == np.uint8 and got.shape == (4, BLOCK_TRIALS)
+        blocks = list(kernels.noise_verdicts(*args))
+        assert [b.shape for b in blocks] == [
+            (4, min(trial_block, BLOCK_TRIALS - start))
+            for start in range(0, BLOCK_TRIALS, trial_block)]
+        got = np.concatenate(blocks, axis=1)
+        assert got.dtype == np.uint8
         for row, dark in zip(got, darks):
             want = _reference_noise_verdicts(*args[:4], dark, *args[5:])
             assert np.array_equal(row, want)
-            tail = kernels.noise_verdicts(*args[:4], dark, slots, 4,
-                                          BLOCK_TRIALS - 15, 17, 15)
-            assert np.array_equal(tail, want[15:])
 
     # every constant cut: no vacuum or no signal photon, certain loss or
     # survival, a certain port, no dark counts or no dark window
@@ -407,7 +418,7 @@ class TestBlockedTrials:
                         args = (p_zero, p_one, p_survive, p_click_n,
                                 dark_prob, slots, 3, BLOCK_TRIALS, 23)
                         assert np.array_equal(
-                            kernels.noise_verdicts(*args),
+                            _verdicts(*args),
                             _reference_noise_verdicts(*args)), args
 
     @pytest.mark.parametrize("probs", [[0.0, 0.0, 0.5, 0.5],

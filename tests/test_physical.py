@@ -7,6 +7,7 @@ import pytest
 
 from qfp import (DomainError, ImperfectionModel, conditional_error_with_noise,
                  feasible_d, kernels, photon_number_distribution)
+from qfp.errors import LIMITS, ResourceLimitError
 from qfp.physical import dark_count_sweep
 
 
@@ -198,18 +199,15 @@ class TestDarkCountSweep:
     MODEL = ImperfectionModel(mean_photon_number=0.8, transmission=0.9,
                               detector_efficiency=0.8)
 
-    @pytest.mark.parametrize("trial_block, tally_block",
-                             [(1 << 14, 1 << 16), (7, 1 << 16), (7, 40),
-                              (64, 96)])
+    @pytest.mark.parametrize("trial_block", [1 << 14, 7, 64])
     @pytest.mark.parametrize("darks", [(0.0, 1e-4, 1e-3, 0.3),
                                        (0.0, 0.0, 0.0)], ids=["mixed", "zero"])
     @pytest.mark.parametrize("pn", [0.0, 0.25])
     def test_rows_equal_per_point_results(self, monkeypatch, trial_block,
-                                          tally_block, darks, pn):
-        # one pass of draws for every point, in ranges of trials; each
-        # point on its own is the reference
+                                          darks, pn):
+        # one pass of draws for every point, tallied a kernel block at a
+        # time; each point on its own is the reference
         monkeypatch.setattr(kernels, "_TRIAL_BLOCK", trial_block)
-        monkeypatch.setattr("qfp.physical._TALLY_BLOCK", tally_block)
         rows = dark_count_sweep(self.MODEL, list(darks), pn, 3, 300, 41,
                                 slots=40)
         assert rows == [conditional_error_with_noise(
@@ -219,3 +217,14 @@ class TestDarkCountSweep:
     def test_every_value_checked_first(self):
         with pytest.raises(DomainError, match="dark_count_prob"):
             dark_count_sweep(self.MODEL, [0.0, 1.0], 0.25, 1, 10, 0)
+
+    def test_points_charged_before_any_draw(self):
+        points = LIMITS["sweep points"]
+        assert len(dark_count_sweep(self.MODEL, [0.0] * points, 0.25, 1, 10,
+                                    0)) == points
+        with pytest.raises(ResourceLimitError, match="sweep points: "):
+            dark_count_sweep(self.MODEL, [0.0] * (points + 1), 0.25, 1, 10, 0)
+        # k x one block of trials fills the run budget at one point
+        k = LIMITS["runs"] // kernels._TRIAL_BLOCK
+        with pytest.raises(ResourceLimitError, match="runs: "):
+            dark_count_sweep(self.MODEL, [0.0, 0.0], 0.25, k, 1, 0)

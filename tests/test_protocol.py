@@ -160,11 +160,12 @@ class TestClassEvaluation:
             self.assert_matches_pipeline(code, random_message(rng, n),
                                          random_message(rng, n))
 
-    @pytest.mark.parametrize("block", [1, 3, 64, 1001])
+    @pytest.mark.parametrize("block", [128, 129, 1000, 1001])
     def test_threshold_blocks(self, monkeypatch, block):
         # the threshold's total is carried from block to block, so every
-        # block size sums the E port as one left-to-right pass
-        monkeypatch.setattr(protocol, "_CUT_BLOCK", block)
+        # block size numpy's pairwise order admits (>= 128) sums the E port
+        # as one left-to-right pass, and pN is unchanged
+        monkeypatch.setattr(protocol, "_PN_LEAF", block)
         rng = np.random.default_rng(block)
         code = random_linear_code(8, 1001, seed=1001)
         for _ in range(4):
