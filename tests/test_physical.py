@@ -199,20 +199,23 @@ class TestDarkCountSweep:
     MODEL = ImperfectionModel(mean_photon_number=0.8, transmission=0.9,
                               detector_efficiency=0.8)
 
-    @pytest.mark.parametrize("trial_block", [1 << 14, 7, 64])
+    @pytest.mark.parametrize("trial_block, slots",
+                             [(1 << 14, 1 << 16), (7, 1 << 16), (7, 40),
+                              (64, 96)])
     @pytest.mark.parametrize("darks", [(0.0, 1e-4, 1e-3, 0.3),
                                        (0.0, 0.0, 0.0)], ids=["mixed", "zero"])
     @pytest.mark.parametrize("pn", [0.0, 0.25])
     def test_rows_equal_per_point_results(self, monkeypatch, trial_block,
-                                          darks, pn):
+                                          slots, darks, pn):
         # one pass of draws for every point, tallied a kernel block at a
-        # time; each point on its own is the reference
+        # time, for short and long dark-count windows; each point on its
+        # own is the reference
         monkeypatch.setattr(kernels, "_TRIAL_BLOCK", trial_block)
         rows = dark_count_sweep(self.MODEL, list(darks), pn, 3, 300, 41,
-                                slots=40)
+                                slots=slots)
         assert rows == [conditional_error_with_noise(
             replace(self.MODEL, dark_count_prob=dark), pn, 3, 300, 41,
-            slots=40) for dark in darks]
+            slots=slots) for dark in darks]
 
     def test_every_value_checked_first(self):
         with pytest.raises(DomainError, match="dark_count_prob"):
