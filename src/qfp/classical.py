@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -32,8 +31,7 @@ if TYPE_CHECKING:  # fractions loads decimal, so it is imported on use
 _RESCORE_PAIRS = 1 << 20
 
 
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(NamedTuple):
     """One deterministic SMP strategy, fully tabulated."""
 
     alice_map: tuple[int, ...]
@@ -58,8 +56,7 @@ class Strategy:
         return errors
 
 
-@dataclass(frozen=True)
-class SmpSearchResult:
+class SmpSearchResult(NamedTuple):
     """Exact optimum over all deterministic strategies."""
 
     q: int
@@ -74,27 +71,6 @@ class SmpSearchResult:
 
 def strategy_space_size(q: int, alice_msgs: int, bob_msgs: int) -> int:
     return (alice_msgs**q) * (bob_msgs**q) * (1 << (alice_msgs * bob_msgs))
-
-
-def _decode_map(index: int, base: int, q: int) -> tuple[int, ...]:
-    out = []
-    v = index
-    for _ in range(q):
-        out.append(v % base)
-        v //= base
-    return tuple(out)
-
-
-def _decode_referee(mask: int, alice_msgs: int,
-                    bob_msgs: int) -> tuple[tuple[Verdict, ...], ...]:
-    table = []
-    for i in range(alice_msgs):
-        row = []
-        for j in range(bob_msgs):
-            bit = (mask >> (i * bob_msgs + j)) & 1
-            row.append(Verdict.EQUAL if bit else Verdict.NOT_EQUAL)
-        table.append(tuple(row))
-    return tuple(table)
 
 
 def brute_force_smp(q: int, alice_msgs: int, bob_msgs: int) -> SmpSearchResult:
@@ -114,9 +90,11 @@ def brute_force_smp(q: int, alice_msgs: int, bob_msgs: int) -> SmpSearchResult:
           (2, alice_msgs * bob_msgs), (q, 2))
     best, ai, bi, mask = kernels.smp_exhaustive_search(q, alice_msgs,
                                                        bob_msgs)
-    witness = Strategy(_decode_map(ai, alice_msgs, q),
-                       _decode_map(bi, bob_msgs, q),
-                       _decode_referee(mask, alice_msgs, bob_msgs))
+    alice_map, bob_map, says_equal = kernels.decode_strategy(
+        q, alice_msgs, bob_msgs, ai, bi, mask)
+    witness = Strategy(alice_map, bob_map, tuple(
+        tuple(Verdict.EQUAL if equal else Verdict.NOT_EQUAL for equal in row)
+        for row in says_equal))
     rescored = witness.misclassified_pairs()
     if rescored != best:
         raise AssertionError(
@@ -132,8 +110,7 @@ def brute_force_smp(q: int, alice_msgs: int, bob_msgs: int) -> SmpSearchResult:
     )
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Communication lower bounds for equality on n-bit inputs."""
 
     n: int
@@ -216,4 +193,4 @@ def full_bound_report(n: int, epsilon: float, mu: float = 2.0) -> BoundReport:
     base = smp_equality_lower_bounds(n)
     k = repetitions_needed(justesen_nu(mu), epsilon)
     cost, floor = breakeven_sides(n, k)
-    return replace(base, quantum_cost_per_party=cost, breakeven=cost <= floor)
+    return base._replace(quantum_cost_per_party=cost, breakeven=cost <= floor)

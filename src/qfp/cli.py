@@ -23,7 +23,6 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import asdict, fields
 
 from . import classical, ecc, physical, protocol, reports
 from .errors import (ConfigError, DomainError, QfpError, ResourceLimitError,
@@ -82,17 +81,22 @@ def _float_list(text: str) -> list[float]:
 
 # --- config-file keys: each subcommand's option dests ----------------------
 
+def _subparser(parser: argparse.ArgumentParser,
+               command: str) -> argparse.ArgumentParser:
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices[command]
+
+
 def _config_types(parser: argparse.ArgumentParser, command: str) -> dict:
     """Config key -> converter for one subcommand, read off its options.
 
     A key is an option's dest and converts as the option's value does; a
     flag converts with ``_parse_bool``.
     """
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction)).choices[command]
     return {a.dest: (_parse_bool if isinstance(a, argparse._StoreTrueAction)
                      else a.type or str)
-            for a in sub._actions if a.dest not in ("help", "config")}
+            for a in _subparser(parser, command)._actions
+            if a.dest not in ("help", "config")}
 
 
 def _load_config_section(path: str, section: str, types: dict) -> dict:
@@ -124,14 +128,6 @@ def _load_config_section(path: str, section: str, types: dict) -> dict:
                 f"config {path!r} section [{section}], key {key!r}: {exc}"
             ) from exc
     return merged
-
-
-def _apply_config(args: argparse.Namespace, types: dict) -> None:
-    if getattr(args, "config", None):
-        for name, value in _load_config_section(args.config, args.command,
-                                                types).items():
-            if getattr(args, name, None) is None:
-                setattr(args, name, value)
 
 
 def _require(args, names) -> None:
@@ -166,7 +162,6 @@ def _build_code(args) -> ecc.Code:
         return ecc.hadamard_code(args.n)
     if kind in ("random", "randomlinear", "random-linear"):
         _require(args, ["n", "m"])
-        _default(args, "code_seed", 0)
         return ecc.random_linear_code(args.n, args.m, args.code_seed)
     raise DomainError(f"unknown code kind {args.code!r}")
 
@@ -217,9 +212,6 @@ def cmd_run(args) -> int:
               protocol.RUN_CSV_FIELDS)
         return 0
 
-    _default(args, "epsilon", 0.01)
-    _default(args, "trials", 1)
-    _default(args, "seed", 0)
     if args.out or args.json:
         check("report rows", args.trials)
     if args.k is not None:
@@ -243,23 +235,25 @@ def cmd_run(args) -> int:
 
 # --- classical ---------------------------------------------------------------
 
-BOUNDS_CSV_FIELDS = tuple(f.name for f in fields(classical.BoundReport))
+BOUNDS_CSV_FIELDS = classical.BoundReport._fields
 SMP_CSV_FIELDS = ("q", "alice_msgs", "bob_msgs", "min_avg_error",
                   "misclassified_pairs", "worst_case_error",
                   "strategies_searched")
 
 
 def cmd_classical(args) -> int:
+    # --bounds adds the quantum side only when --epsilon or --mu is given
+    quantum_side = args.epsilon is not None or args.mu is not None
+    _default(args, "epsilon", 0.01)
+    _default(args, "mu", 2.0)
     if args.bounds:
         _require(args, ["n"])
-        if args.epsilon is not None or args.mu is not None:
-            _default(args, "epsilon", 0.01)
-            _default(args, "mu", 2.0)
+        if quantum_side:
             report = classical.full_bound_report(args.n, args.epsilon,
                                                  args.mu)
         else:
             report = classical.smp_equality_lower_bounds(args.n)
-        row = asdict(report)
+        row = report._asdict()
         print(f"n = {report.n}: ab_lower = {report.ab_lower!r}, "
               f"max_lower = {report.max_lower!r}, "
               f"shared_bit_lower = {report.shared_bit_lower!r}")
@@ -273,8 +267,6 @@ def cmd_classical(args) -> int:
 
     if args.breakeven:
         _reject_out(args)
-        _default(args, "epsilon", 0.01)
-        _default(args, "mu", 2.0)
         protocol.check_target_error(args.epsilon)
         nu = ecc.justesen_nu(args.mu)
         k = protocol.repetitions_needed(nu, args.epsilon)
@@ -356,9 +348,6 @@ def cmd_feasibility(args) -> int:
     model = _build_model(args)
     if args.noise or args.sweep_dark is not None:
         _require(args, ["pn"])
-        _default(args, "k", 1)
-        _default(args, "trials", 10_000)
-        _default(args, "seed", 0)
         # every point is computed before the first line is printed, so a
         # rejected input (pn, k, trials, slot window, swept value) leaves
         # stdout empty
@@ -450,26 +439,25 @@ def build_parser() -> _Parser:
     run.add_argument("--n", type=int, help="message length")
     run.add_argument("--r", type=int, help="repetition factor")
     run.add_argument("--m", type=int, help="codeword length (random codes)")
-    run.add_argument("--code-seed", type=int, dest="code_seed")
-    run.add_argument("--code-file", dest="code_file",
+    run.add_argument("--code-seed", type=int, default=0)
+    run.add_argument("--code-file",
                      help="load a saved code instead of constructing one")
     run.add_argument("--x", help="Alice's input bits, e.g. 0000")
     run.add_argument("--y", help="Bob's input bits")
-    run.add_argument("--exact", action="store_true", default=None,
+    run.add_argument("--exact", action="store_true",
                      help="exact port statistics only, no sampling")
     run.add_argument("--k", type=int, help="repetitions per protocol")
-    run.add_argument("--epsilon", type=float,
+    run.add_argument("--epsilon", type=float, default=0.01,
                      help="target error (sets k when --k is absent)")
-    run.add_argument("--trials", type=int, help="sampled protocols to run")
-    run.add_argument("--seed", type=int, help="master seed")
-    run.add_argument("--phase-protocol", action="store_true", default=None,
-                     dest="phase_protocol",
+    run.add_argument("--trials", type=int, default=1,
+                     help="sampled protocols to run")
+    run.add_argument("--seed", type=int, default=0, help="master seed")
+    run.add_argument("--phase-protocol", action="store_true",
                      help="single-symbol phase protocol instead of codes")
     run.add_argument("--q", type=int, help="phase-protocol alphabet size")
-    run.add_argument("--phase-x", type=int, dest="phase_x")
-    run.add_argument("--phase-y", type=int, dest="phase_y")
-    run.add_argument("--all-pairs", action="store_true", default=None,
-                     dest="all_pairs")
+    run.add_argument("--phase-x", type=int)
+    run.add_argument("--phase-y", type=int)
+    run.add_argument("--all-pairs", action="store_true")
     run.add_argument("--out", help="CSV output path")
     run.add_argument("--json", help="JSON output path")
     run.set_defaults(handler=cmd_run)
@@ -479,9 +467,9 @@ def build_parser() -> _Parser:
     cla.add_argument("--q", type=int, help="input alphabet size")
     cla.add_argument("--alice", type=int, help="alice's message count")
     cla.add_argument("--bob", type=int, help="bob's message count")
-    cla.add_argument("--bounds", action="store_true", default=None,
+    cla.add_argument("--bounds", action="store_true",
                      help="lower-bound calculator for n-bit inputs")
-    cla.add_argument("--breakeven", action="store_true", default=None,
+    cla.add_argument("--breakeven", action="store_true",
                      help="search the quantum/classical break-even n")
     cla.add_argument("--n", type=int, help="input length for --bounds")
     cla.add_argument("--epsilon", type=float)
@@ -497,24 +485,23 @@ def build_parser() -> _Parser:
     fea.add_argument("--period", type=parse_time,
                      help="pulse period (s, ms, us, ns, ps)")
     fea.add_argument("--index", type=float, help="refractive index")
-    fea.add_argument("--window-factor", type=float, dest="window_factor")
-    fea.add_argument("--mu-photon", type=float, dest="mu_photon",
+    fea.add_argument("--window-factor", type=float)
+    fea.add_argument("--mu-photon", type=float,
                      help="mean photon number of the attenuated train")
-    fea.add_argument("--noise", action="store_true", default=None,
+    fea.add_argument("--noise", action="store_true",
                      help="Monte Carlo error rates under imperfections")
     fea.add_argument("--pn", type=float,
                      help="per-run N-click probability of the clean protocol")
-    fea.add_argument("--k", type=int)
-    fea.add_argument("--trials", type=int)
-    fea.add_argument("--seed", type=int)
+    fea.add_argument("--k", type=int, default=1)
+    fea.add_argument("--trials", type=int, default=10_000)
+    fea.add_argument("--seed", type=int, default=0)
     fea.add_argument("--dark", type=float, help="dark count prob per slot")
     fea.add_argument("--transmission", type=float)
     fea.add_argument("--efficiency", type=float)
     fea.add_argument("--slots", type=int,
                      help="dark-count slot window (default: from geometry)")
-    fea.add_argument("--deterministic-source", action="store_true",
-                     default=None, dest="deterministic_source")
-    fea.add_argument("--sweep-dark", type=_float_list, dest="sweep_dark",
+    fea.add_argument("--deterministic-source", action="store_true")
+    fea.add_argument("--sweep-dark", type=_float_list,
                      help="comma-separated dark count probabilities")
     fea.add_argument("--out", help="CSV output path")
     fea.add_argument("--json", help="JSON output path")
@@ -529,7 +516,8 @@ def build_parser() -> _Parser:
     exp.add_argument("--n", type=int, required=True)
     exp.add_argument("--r", type=int)
     exp.add_argument("--m", type=int)
-    exp.add_argument("--seed", type=int, dest="code_seed", metavar="SEED")
+    exp.add_argument("--seed", type=int, default=0, dest="code_seed",
+                     metavar="SEED")
     exp.add_argument("--out", required=True)
     exp.set_defaults(code_file=None)
     show = cod_sub.add_parser("show", aliases=["import"])
@@ -553,7 +541,13 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 1
         if args.command != "codes":
-            _apply_config(args, _config_types(parser, args.command))
+            if args.config:
+                # the file's section becomes the subcommand's defaults; a
+                # second parse lets every explicit flag win over them
+                types = _config_types(parser, args.command)
+                _subparser(parser, args.command).set_defaults(
+                    **_load_config_section(args.config, args.command, types))
+                args = parser.parse_args(argv)
             if args.out and args.json and (os.path.realpath(args.out)
                                            == os.path.realpath(args.json)):
                 raise _UsageError(f"qfp {args.command}: --out and --json "

@@ -344,7 +344,7 @@ def min_nonzero_weight(generator: np.ndarray) -> int:
 # exhaustive simultaneous-message-passing strategy search
 # ---------------------------------------------------------------------------
 #
-# Strategy encoding (shared with qfp.classical):
+# Strategy encoding (decoded by decode_strategy):
 #   alice map index ai: digit x in base a  -> message alice sends on input x
 #   bob map index bi:   digit y in base b  -> message bob sends on input y
 #   referee mask:       bit (i*b + j) set  -> referee answers Equal when
@@ -360,6 +360,18 @@ _PAIR_BLOCK = 1 << 11
 def _digits(index: np.ndarray, base: int, q: int) -> np.ndarray:
     # row r: the q base-``base`` digits of index[r], least significant first
     return index[:, None] // base ** np.arange(q, dtype=np.int64) % base
+
+
+def decode_strategy(q: int, alice_msgs: int, bob_msgs: int, alice_index: int,
+                    bob_index: int, referee_mask: int) -> tuple:
+    """The strategy encoded as above: Alice's and Bob's message maps, as
+    tuples of q messages, and the referee's (alice_msgs x bob_msgs) table,
+    True where it answers Equal."""
+    alice = _digits(np.array([alice_index]), alice_msgs, q)[0]
+    bob = _digits(np.array([bob_index]), bob_msgs, q)[0]
+    cell = np.arange(alice_msgs * bob_msgs).reshape(alice_msgs, bob_msgs)
+    return (tuple(alice.tolist()), tuple(bob.tolist()),
+            ((referee_mask >> cell) & 1 == 1).tolist())
 
 
 def smp_exhaustive_search(q: int, alice_msgs: int,

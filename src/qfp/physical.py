@@ -106,8 +106,7 @@ def feasible_d(model: ImperfectionModel) -> FeasibleD:
     return FeasibleD(*map(int, counts))
 
 
-@dataclass(frozen=True)
-class NoiseRates:
+class NoiseRates(NamedTuple):
     """Monte Carlo error rates of the noisy protocol, with binomial
     standard errors.
 

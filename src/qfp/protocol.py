@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +72,7 @@ class ProtocolParams:
         return cls(code.n, code, k, epsilon)
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     """Outcome of one sampled k-run protocol: the verdict, the exact
     per-run N-port probability, how many of the k runs clicked N, and the
     substream seed that replays it."""

@@ -649,6 +649,13 @@ class TestCodesCommand:
                          str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_random_export_seed_defaults_to_zero(self, tmp_path):
+        a, b = tmp_path / "a.code", tmp_path / "b.code"
+        argv = ["codes", "export", "--kind", "random", "--n", "6", "--m", "16"]
+        assert main([*argv, "--out", str(a)]) == 0
+        assert main([*argv, "--seed", "0", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_missing_action(self, capsys):
         assert main(["codes"]) == 1
         assert "export, import, show, verify" in capsys.readouterr().err
@@ -852,6 +859,33 @@ class TestConfigFiles:
             else:
                 parsed = parser.parse_args([command, flag, raw])
                 assert getattr(parsed, key) == value
+
+    # (command, key, parser default, config value, flag value)
+    PARSER_DEFAULTS = [("run", "epsilon", 0.01, 0.05, 0.2),
+                       ("run", "trials", 1, 7, 9),
+                       ("run", "seed", 0, 5, 6),
+                       ("run", "code_seed", 0, 3, 4),
+                       ("feasibility", "k", 1, 3, 4),
+                       ("feasibility", "trials", 10_000, 50, 60),
+                       ("feasibility", "seed", 0, 5, 6)]
+
+    @pytest.mark.parametrize("command,key,default,in_config,in_flag",
+                             PARSER_DEFAULTS)
+    def test_config_beats_parser_default_and_loses_to_flag(
+            self, command, key, default, in_config, in_flag, tmp_path,
+            monkeypatch):
+        # the handler sees the options as resolved after the config merge
+        seen = []
+        monkeypatch.setattr(cli, f"cmd_{command}",
+                            lambda args: seen.append(getattr(args, key)) or 0)
+        conf = tmp_path / "c.cfg"
+        conf.write_text(f"[{command}]\n{key} = {in_config}\n")
+        flag = "--" + key.replace("_", "-")
+        for argv in ([], ["--config", str(conf)],
+                     ["--config", str(conf), flag, str(in_flag)],
+                     [flag, str(in_flag), "--config", str(conf)]):
+            assert main([command, *argv]) == 0
+        assert seen == [default, in_config, in_flag, in_flag]
 
     @pytest.mark.parametrize("key", ["config", "help", "L"])
     def test_non_option_keys_rejected(self, key, tmp_path, capsys):

@@ -14,6 +14,7 @@ from qfp import (ProtocolParams, ResourceLimitError, encode, hadamard_code,
 from qfp.ecc import random_linear_code
 from qfp.errors import LIMITS
 from qfp.modes import interferometer
+from qfp.protocol import Verdict
 
 
 # The first outputs of splitmix64 from seed 0 are fixed by the algorithm
@@ -520,6 +521,35 @@ def _reference_smp_search(q, a, b):
     return best
 
 
+def _decode_map(index, base, q):
+    out = []
+    v = index
+    for _ in range(q):
+        out.append(v % base)
+        v //= base
+    return tuple(out)
+
+
+def _decode_referee(mask, alice_msgs, bob_msgs):
+    table = []
+    for i in range(alice_msgs):
+        row = []
+        for j in range(bob_msgs):
+            bit = (mask >> (i * bob_msgs + j)) & 1
+            row.append(Verdict.EQUAL if bit else Verdict.NOT_EQUAL)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def _assert_decodes(q, a, b, ai, bi, mask):
+    alice, bob, says_equal = kernels.decode_strategy(q, a, b, ai, bi, mask)
+    assert alice == _decode_map(ai, a, q)
+    assert bob == _decode_map(bi, b, q)
+    assert says_equal == [[v is Verdict.EQUAL for v in row]
+                          for row in _decode_referee(mask, a, b)]
+    assert all(type(m) is int for m in alice + bob)
+
+
 SMP_SHAPES = [(3, 3, 2), (4, 3, 3), (2, 2, 2), (3, 3, 3), (2, 1, 1),
               (3, 2, 2), (4, 2, 2), (3, 2, 3), (4, 4, 2)]
 
@@ -548,6 +578,18 @@ class TestSmpSearch:
     def test_full_information_is_perfect(self):
         assert kernels.smp_exhaustive_search(2, 2, 2)[0] == 0
         assert kernels.smp_exhaustive_search(3, 3, 3)[0] == 0
+
+    @pytest.mark.parametrize("q,a,b", [(2, 2, 2), (3, 2, 1), (2, 1, 3),
+                                       (3, 2, 2)])
+    def test_decode_matches_digit_and_mask_loops(self, q, a, b):
+        for ai in range(a**q):
+            for bi in range(b**q):
+                for mask in range(1 << (a * b)):
+                    _assert_decodes(q, a, b, ai, bi, mask)
+
+    @pytest.mark.parametrize("q,a,b", [(3, 3, 2), (4, 3, 3)])
+    def test_decode_golden_witnesses(self, q, a, b):
+        _assert_decodes(q, a, b, *kernels.smp_exhaustive_search(q, a, b)[1:])
 
     def test_mask_encoding_guard(self):
         with pytest.raises(ValueError):
