@@ -139,11 +139,6 @@ def _require(args, names) -> None:
         )
 
 
-def _default(args, name, value) -> None:
-    if getattr(args, name, None) is None:
-        setattr(args, name, value)
-
-
 # --- run --------------------------------------------------------------------
 
 def _build_code(args) -> ecc.Code:
@@ -244,8 +239,8 @@ SMP_CSV_FIELDS = ("q", "alice_msgs", "bob_msgs", "min_avg_error",
 def cmd_classical(args) -> int:
     # --bounds adds the quantum side only when --epsilon or --mu is given
     quantum_side = args.epsilon is not None or args.mu is not None
-    _default(args, "epsilon", 0.01)
-    _default(args, "mu", 2.0)
+    args.epsilon = 0.01 if args.epsilon is None else args.epsilon
+    args.mu = 2.0 if args.mu is None else args.mu
     if args.bounds:
         _require(args, ["n"])
         if quantum_side:
@@ -316,9 +311,8 @@ def cmd_classical(args) -> int:
 
 # --- feasibility --------------------------------------------------------------
 
-NOISE_CSV_FIELDS = ("parameter", "value", "false_equal_rate",
-                    "false_equal_stderr", "false_notequal_rate",
-                    "false_notequal_stderr", "abort_rate", "abort_stderr")
+# the six rate and standard-error fields that close physical.NoiseRates
+NOISE_CSV_FIELDS = ("parameter", "value", *physical.NoiseRates._fields[-6:])
 
 
 # option dest -> ImperfectionModel field; an option left unset keeps the
@@ -433,7 +427,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     run = sub.add_parser("run", help="protocol runs")
-    run.add_argument("--config")
+    cla = sub.add_parser("classical", help="classical baselines")
+    fea = sub.add_parser("feasibility", help="pulse-train feasibility")
+    for command in (run, cla, fea):
+        command.add_argument("--config")
     run.add_argument("--code",
                      help="identity | repetition | hadamard | random")
     run.add_argument("--n", type=int, help="message length")
@@ -458,12 +455,7 @@ def build_parser() -> _Parser:
     run.add_argument("--phase-x", type=int)
     run.add_argument("--phase-y", type=int)
     run.add_argument("--all-pairs", action="store_true")
-    run.add_argument("--out", help="CSV output path")
-    run.add_argument("--json", help="JSON output path")
-    run.set_defaults(handler=cmd_run)
 
-    cla = sub.add_parser("classical", help="classical baselines")
-    cla.add_argument("--config")
     cla.add_argument("--q", type=int, help="input alphabet size")
     cla.add_argument("--alice", type=int, help="alice's message count")
     cla.add_argument("--bob", type=int, help="bob's message count")
@@ -474,12 +466,7 @@ def build_parser() -> _Parser:
     cla.add_argument("--n", type=int, help="input length for --bounds")
     cla.add_argument("--epsilon", type=float)
     cla.add_argument("--mu", type=float, help="code rate parameter")
-    cla.add_argument("--out", help="CSV output path")
-    cla.add_argument("--json", help="JSON output path")
-    cla.set_defaults(handler=cmd_classical)
 
-    fea = sub.add_parser("feasibility", help="pulse-train feasibility")
-    fea.add_argument("--config")
     fea.add_argument("--L", "--separation", dest="separation",
                      type=parse_length, help="Alice-Bob distance (m, km)")
     fea.add_argument("--period", type=parse_time,
@@ -503,9 +490,12 @@ def build_parser() -> _Parser:
     fea.add_argument("--deterministic-source", action="store_true")
     fea.add_argument("--sweep-dark", type=_float_list,
                      help="comma-separated dark count probabilities")
-    fea.add_argument("--out", help="CSV output path")
-    fea.add_argument("--json", help="JSON output path")
-    fea.set_defaults(handler=cmd_feasibility)
+
+    for command, handler in ((run, cmd_run), (cla, cmd_classical),
+                             (fea, cmd_feasibility)):
+        command.add_argument("--out", help="CSV output path")
+        command.add_argument("--json", help="JSON output path")
+        command.set_defaults(handler=handler)
 
     cod = sub.add_parser("codes", help="code file tools")
     cod_sub = cod.add_subparsers(dest="action", parser_class=_Parser)

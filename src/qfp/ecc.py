@@ -246,28 +246,19 @@ def load_code(src) -> Code:
     own = isinstance(src, (str, bytes)) or hasattr(src, "__fspath__")
     fh = open(src, "r", encoding="utf-8") if own else src
     try:
-        n, m, t, kind, gen, rows_match = _read_generator(fh)
+        return _read_code(fh)
     except UnicodeDecodeError as exc:
         raise CodeFormatError(f"code file is not UTF-8: {exc}") from exc
     finally:
         if own:
             fh.close()
-    if kind is CodeKind.RANDOM_LINEAR:
-        return Code(n, m, t, kind, gen)
-    canonical = _canonical_code(kind, n, m)
-    if canonical is None or canonical.t != t or not rows_match:
-        raise CodeFormatError(
-            f"not the {kind.value} code with n={n}, m={m}: the generator "
-            f"or the distance t={t} differs from the construction"
-        )
-    return canonical
 
 
-def _read_generator(fh) -> tuple[int, int, int, CodeKind, np.ndarray, bool]:
-    # header, kept rows and whether every row equals the kind's formula,
-    # each row checked as it is read: a RandomLinear file keeps only its
-    # rows' bytes (no larger than the file, whatever the header says),
-    # any other kind compares each row with the formula's and keeps none
+def _read_code(fh) -> Code:
+    # the header's code is made, and charged to the budget, before any
+    # row is read; each row is checked as it is read: a RandomLinear file
+    # keeps only its rows' bytes (no larger than the file), any other
+    # kind compares each row with its code's formula and keeps none
     lines = (ln.rstrip("\n") for ln in fh)
     header = next((ln for ln in lines if ln.strip()), None)
     if header is None:
@@ -283,11 +274,11 @@ def _read_generator(fh) -> tuple[int, int, int, CodeKind, np.ndarray, bool]:
     if n < 1 or m < 1:
         raise CodeFormatError(f"bad header {header!r}: n and m must be >= 1")
     keep = kind is CodeKind.RANDOM_LINEAR
-    # a code not charged to the budget: load_code charges the one it makes
-    formula = (Code(n, m, 0, kind) if not keep and _has_formula(kind, n, m)
-               else None)
+    if keep:
+        check("generator entries", n, m)
+    code = _canonical_code(kind, n, m)  # None for a shape with no formula
     buf = bytearray()
-    rows, bad_row, rows_match = 0, None, formula is not None
+    rows, bad_row, rows_match = 0, None, code is not None
     for row in lines:
         if not row.strip():
             continue
@@ -299,15 +290,22 @@ def _read_generator(fh) -> tuple[int, int, int, CodeKind, np.ndarray, bool]:
         elif keep:
             buf += row.encode("ascii")
         elif rows_match:
-            rows_match = bits_to_string(formula.row(rows - 1)) == row
+            rows_match = bits_to_string(code.row(rows - 1)) == row
     # the row count is reported before a malformed row
     if rows != n:
         raise CodeFormatError(f"expected {n} generator rows, got {rows}")
     if bad_row is not None:
         raise CodeFormatError(f"generator row {bad_row} is not {m} bits")
-    gen = np.frombuffer(buf, dtype=np.uint8).reshape(-1, m)
-    gen -= ord("0")
-    return n, m, t, kind, gen, rows_match
+    if keep:
+        gen = np.frombuffer(buf, dtype=np.uint8).reshape(-1, m)
+        gen -= ord("0")
+        return Code(n, m, t, kind, gen)
+    if not rows_match or code.t != t:
+        raise CodeFormatError(
+            f"not the {kind.value} code with n={n}, m={m}: the generator "
+            f"or the distance t={t} differs from the construction"
+        )
+    return code
 
 
 def _has_formula(kind: CodeKind, n: int, m: int) -> bool:

@@ -32,9 +32,9 @@ LIMITS = {
     "sweep points": 1 << 8,
     # q = 300 with --all-pairs --out --json peaks near 32 MB in ~1 s
     "phase pairs": 300**2,
-    # n x m, every code kind, charged when the code is made even where
-    # its generator is computed from a formula: the largest Hadamard
-    # code (n = 20)
+    # n x m, every code kind, charged when the code is made (a code
+    # file's as soon as its header parses) even where its generator is
+    # computed from a formula: the largest Hadamard code (n = 20)
     "generator entries": 20 << 20,
     "oracle messages": 1 << 20,  # 2^n, enumerated by the distance oracle
     # 2^n x ceil(m / 64) tallied weight words: n = 20, m = 65536 takes ~3 s

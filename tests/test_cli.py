@@ -685,6 +685,30 @@ class TestCodesCommand:
         assert "resource limit: oracle word steps: " in (
             tmp_path / "verify.err").read_text()
 
+    @staticmethod
+    def _one_row_random_file(cwd, bits):
+        # one RandomLinear row of ``bits`` bits, declared distance 1
+        (cwd / "one_row.code").write_text(
+            f"1 {bits} 1 RandomLinear\n" + "1" * bits + "\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["codes", "show", "--in", "one_row.code"],
+        ["codes", "verify", "--in", "one_row.code"],
+        ["run", "--code-file", "one_row.code", "--x", "1", "--y", "0",
+         "--exact"],
+    ], ids=["show", "verify", "run"])
+    def test_code_file_over_generator_entries_refused(self, argv, tmp_path):
+        # the header is charged before any row is read, as the same shape
+        # given as flags is
+        self._one_row_random_file(tmp_path, LIMITS["generator entries"] + 1)
+        assert_refused_at_once(argv, tmp_path, "generator entries")
+
+    def test_code_file_at_generator_entries_loads(self, tmp_path):
+        self._one_row_random_file(tmp_path, LIMITS["generator entries"])
+        rc, _, _ = run_child(["codes", "show", "--in", "one_row.code"],
+                             tmp_path)
+        assert rc == 0
+
     def test_non_utf8_code_file_is_format_error(self, tmp_path, capsys):
         path = tmp_path / "bad.code"
         path.write_bytes(b"\xff\xfe1 1 1 Identity\n1\n")
@@ -886,6 +910,24 @@ class TestConfigFiles:
                      [flag, str(in_flag), "--config", str(conf)]):
             assert main([command, *argv]) == 0
         assert seen == [default, in_config, in_flag, in_flag]
+
+    def test_config_without_the_section_changes_nothing(self, tmp_path,
+                                                        capsys):
+        # a file with no [run] section leaves every parser default
+        conf = tmp_path / "other.cfg"
+        conf.write_text("[classical]\nq = 3\n")
+        csv_path, json_path = tmp_path / "r.csv", tmp_path / "r.json"
+        argv = ["run", "--exact", "--code", "hadamard", "--n", "3",
+                "--x", "101", "--y", "011", "--out", str(csv_path),
+                "--json", str(json_path)]
+        results = []
+        for extra in ([], ["--config", str(conf)]):
+            assert main([*argv, *extra]) == 0
+            results.append((capsys.readouterr().out, csv_path.read_bytes(),
+                            json_path.read_bytes()))
+            csv_path.unlink()
+            json_path.unlink()
+        assert results[0] == results[1]
 
     @pytest.mark.parametrize("key", ["config", "help", "L"])
     def test_non_option_keys_rejected(self, key, tmp_path, capsys):

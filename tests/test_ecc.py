@@ -260,6 +260,12 @@ class TestCodeFiles:
         with pytest.raises(CodeFormatError, match=message):
             load_code(io.StringIO(text))
 
+    def test_header_over_budget_refused_before_rows(self):
+        # the header's Hadamard code (21 x 2^21 entries) is made, and
+        # refused, before the missing rows are counted
+        with pytest.raises(ResourceLimitError, match="generator entries"):
+            load_code(io.StringIO("21 2097152 1048576 Hadamard\n"))
+
     @pytest.mark.parametrize("text, message", [
         ("2 3 1 Identity\n102\n", "expected 2 generator rows, got 1"),
         ("1 2 1 Identity\n10\n\n0x\n", "expected 1 generator rows, got 2"),

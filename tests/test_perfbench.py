@@ -67,6 +67,17 @@ def test_tracer_counts_certify_runs(tmp_path):
         assert function not in result["missing"]
 
 
+def test_tracer_absent_names_are_pinned(tmp_path):
+    # the SPANS names no longer in qfp; a traced function deleted or
+    # renamed would join them, its time moving silently into cli.self_s
+    result = _trace(tmp_path, [])
+    assert sorted(result["missing"]) == [
+        "classical.shared_randomness_floor", "kernels.binomial_cdf",
+        "modes.apply_phases", "modes.inverse_recombine",
+        "modes.port_probabilities", "modes.prepare_split", "modes.recombine",
+        "protocol.batch_report_rows", "reports.atomic_write_text"]
+
+
 def test_workload_replay_is_the_batch_trial(monkeypatch):
     workloads = _workloads(monkeypatch)
     assert workloads.K == K and workloads.SAMPLED_N == 4
