@@ -169,12 +169,12 @@ def _reject_out(args) -> None:
                           f"table; this mode writes only --json")
 
 
-def _emit(args, payload, fieldnames=None) -> None:
+def _emit(args, payload) -> None:
     """Write the payload's "rows" to --out and ``payload`` to --json."""
     paths = [path for path in (args.out, args.json) if path]
     if paths:
         reports.write(paths, reports.chunks(
-            payload, fieldnames if args.out else None, bool(args.json)))
+            payload, bool(args.out), bool(args.json)))
     for path in paths:
         print(f"wrote {path}")
 
@@ -194,8 +194,7 @@ def cmd_run(args) -> int:
         print(f"phase protocol q={q}: average referee error = {avg!r}")
         _emit(args, {"command": "run", "mode": "phase_protocol", "q": q,
                      "avg_error": avg,
-                     "rows": protocol.phase_rows(q, table, avg, pairs)},
-              protocol.PHASE_CSV_FIELDS)
+                     "rows": protocol.phase_rows(q, table, avg, pairs)})
         return 0
 
     code = _build_code(args)
@@ -203,8 +202,7 @@ def cmd_run(args) -> int:
     if args.exact:
         row = protocol.exact_report_row(code, args.x, args.y)
         print(f"exact: pN = {row['pN_exact']!r} verdict = {row['verdict']}")
-        _emit(args, {"command": "run", "mode": "exact", "rows": [row]},
-              protocol.RUN_CSV_FIELDS)
+        _emit(args, {"command": "run", "mode": "exact", "rows": [row]})
         return 0
 
     if args.out or args.json:
@@ -223,18 +221,11 @@ def cmd_run(args) -> int:
                  "master_seed": batch.master_seed, "k": params.k,
                  "trials": batch.trials,
                  "not_equal_fraction": batch.not_equal_fraction,
-                 "rows": protocol.batch_rows(params, args.x, args.y, batch)},
-          protocol.RUN_CSV_FIELDS)
+                 "rows": protocol.batch_rows(params, args.x, args.y, batch)})
     return 0
 
 
 # --- classical ---------------------------------------------------------------
-
-BOUNDS_CSV_FIELDS = classical.BoundReport._fields
-SMP_CSV_FIELDS = ("q", "alice_msgs", "bob_msgs", "min_avg_error",
-                  "misclassified_pairs", "worst_case_error",
-                  "strategies_searched")
-
 
 def cmd_classical(args) -> int:
     # --bounds adds the quantum side only when --epsilon or --mu is given
@@ -256,8 +247,7 @@ def cmd_classical(args) -> int:
             print(f"quantum cost per party = "
                   f"{report.quantum_cost_per_party!r}, "
                   f"breakeven = {report.breakeven}")
-        _emit(args, {"command": "classical", "mode": "bounds", "rows": [row]},
-              BOUNDS_CSV_FIELDS)
+        _emit(args, {"command": "classical", "mode": "bounds", "rows": [row]})
         return 0
 
     if args.breakeven:
@@ -305,15 +295,11 @@ def cmd_classical(args) -> int:
     for i, cells in enumerate(witness["referee"]):
         print(f"  msg {i}: " + "  ".join(cells))
     _emit(args, {"command": "classical", "mode": "brute_force",
-                 "rows": [row], "witness": witness}, SMP_CSV_FIELDS)
+                 "rows": [row], "witness": witness})
     return 0
 
 
 # --- feasibility --------------------------------------------------------------
-
-# the six rate and standard-error fields that close physical.NoiseRates
-NOISE_CSV_FIELDS = ("parameter", "value", *physical.NoiseRates._fields[-6:])
-
 
 # option dest -> ImperfectionModel field; an option left unset keeps the
 # model's default
@@ -330,12 +316,6 @@ def _build_model(args) -> physical.ImperfectionModel:
     return physical.ImperfectionModel(**{
         field: getattr(args, dest) for dest, field in _MODEL_FIELDS.items()
         if getattr(args, dest) is not None})
-
-
-def _rates_row(parameter: str, value: float,
-               rates: physical.NoiseRates) -> dict:
-    return {"parameter": parameter, "value": value,
-            **{name: getattr(rates, name) for name in NOISE_CSV_FIELDS[2:]}}
 
 
 def cmd_feasibility(args) -> int:
@@ -367,8 +347,11 @@ def cmd_feasibility(args) -> int:
         _emit(args, {"command": "feasibility", "mode": "noise",
                      "master_seed": args.seed, "k": args.k,
                      "trials": args.trials, "pn": args.pn,
-                     "rows": [_rates_row("dark_count_prob", value, rates)
-                              for value, rates in points]}, NOISE_CSV_FIELDS)
+                     # the six rate and standard-error fields that close
+                     # physical.NoiseRates
+                     "rows": [{"parameter": "dark_count_prob", "value": value,
+                               **dict(zip(rates._fields[-6:], rates[-6:]))}
+                              for value, rates in points]})
         return 0
 
     _reject_out(args)

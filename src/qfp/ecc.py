@@ -86,13 +86,12 @@ class Code:
         # word ^= row i of the generator, in place
         if self._generator is not None:
             word ^= self._generator[i]
-        elif self.kind is CodeKind.IDENTITY:
-            word[i] ^= 1
-        elif self.kind is CodeKind.REPETITION:
+        elif self.kind is CodeKind.HADAMARD:
+            # bit i of z is 1 on every second run of 2^i
+            word.reshape(-1, 2, 1 << i)[:, 1] ^= 1
+        else:  # repetition; an identity code is its r = 1
             r = self.m // self.n
             word[i * r:(i + 1) * r] ^= 1
-        else:  # Hadamard: bit i of z is 1 on every second run of 2^i
-            word.reshape(-1, 2, 1 << i)[:, 1] ^= 1
 
     @property
     def relative_distance(self) -> float:

@@ -40,7 +40,8 @@ LIMITS = {
     # 2^n x ceil(m / 64) tallied weight words: n = 20, m = 65536 takes ~3 s
     "oracle word steps": 1 << 30,
     "SMP scored pairs": 10**8,  # strategies x q^2 input pairs
-    # sampled trials written by --out or --json: 10^6 take ~1.5 s, ~300 MB
+    # sampled trials written by --out or --json: 2^20 take ~1-2 s at a
+    # flat ~32 MB peak and write ~300 MB of files (68 MB CSV, 247 MB JSON)
     "report rows": 1 << 20,
 }
 

@@ -178,7 +178,7 @@ def dark_count_sweep(model: ImperfectionModel, dark_probs, p_not_equal: float,
     else:
         p0, p1, _ = photon_number_distribution(model.mean_photon_number)
     if slots is None:
-        slots = max(feasible_d(model).d_fiber, 0)
+        slots = feasible_d(model).d_fiber
     elif not 0 <= slots <= sys.float_info.max:
         raise DomainError(f"slots must lie in 0..float max, got {slots}")
     tally = np.zeros((len(dark_probs), 3), dtype=np.int64)

@@ -1,16 +1,16 @@
 """Deterministic CSV/JSON report emission.
 
 Same rows in, same bytes out: floats are rendered with ``repr`` (shortest
-round-trip form), key order is fixed by the caller, and files carry no
-timestamps.  :func:`chunks` renders both reports in one pass; a large
-table is :class:`Rows`, built once per block for both files.  :func:`write`
-writes the chunks as bytes through one temp file per report, all opened
-before the first row is rendered and renamed after the last, so a failed
-run leaves neither report unless the second rename fails after the first."""
+round-trip form), key order is fixed by the caller, a CSV header is its
+rows' keys, and files carry no timestamps.  :func:`chunks` renders both
+reports in one pass; a large table is :class:`Rows`, built once per block
+for both files.  :func:`write` writes the chunks as bytes through one temp
+file per report, all opened before the first row is rendered and renamed
+after the last, so a failed run leaves neither report unless the second
+rename fails after the first."""
 
 from __future__ import annotations
 
-import io
 import os
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -56,14 +56,12 @@ def write(paths: Sequence, chunks: Iterable[Sequence[str]]) -> None:
 
 def csv_text(fieldnames: Sequence[str],
              rows: Iterable[Mapping[str, object]]) -> str:
-    import csv  # the render functions import what only they use
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fieldnames)
-    for row in rows:
-        writer.writerow([render_value(row[name]) for name in fieldnames])
-    return buf.getvalue()
+    """One line per row of cells joined by commas, unquoted: no cell of a
+    report holds a comma, a quote or a line break."""
+    lines = [",".join(fieldnames)]
+    lines += (",".join([render_value(row[name]) for name in fieldnames])
+              for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def json_text(payload) -> str:
@@ -122,18 +120,18 @@ def _stream(texts: Sequence[str], cells, rows: Rows) -> Iterator[list[str]]:
     yield [parts[-1] for parts in splits]
 
 
-def chunks(payload: dict, fieldnames: Sequence[str] | None,
-           json: bool) -> Iterable[list[str]]:
-    """The CSV text of payload["rows"] under ``fieldnames`` (unless None),
-    then the JSON text of ``payload`` (if ``json``), as chunks of one
-    string per file; :class:`Rows` are rendered a block per chunk."""
+def chunks(payload: dict, csv: bool, json: bool) -> Iterable[list[str]]:
+    """The CSV text of payload["rows"] (if ``csv``), headed by the first
+    row's keys, then the JSON text of ``payload`` (if ``json``), as chunks
+    of one string per file; :class:`Rows` are rendered a block per
+    chunk."""
     rows = payload.get("rows")
     streamed = isinstance(rows, Rows)
     if streamed:
         payload = {**payload, "rows": [rows.template] * 2}
     texts, cells = [], []
-    if fieldnames is not None:
-        texts.append(csv_text(fieldnames, payload["rows"]))
+    if csv:
+        texts.append(csv_text(tuple(payload["rows"][0]), payload["rows"]))
         cells.append(lambda values: list(map(render_value, values)))
     if json:
         from json import dumps

@@ -995,6 +995,24 @@ class TestTopLevel:
         assert (tmp_path / "r.csv").exists()
         assert out[-1] == "False"
 
+    @pytest.mark.parametrize("argv", [
+        _sampled(300, 3, "--out", "r.csv", "--json", "r.json"),
+        ["classical", "--q", "3", "--alice", "3", "--bob", "2",
+         "--out", "s.csv"],
+        ["feasibility", "--noise", "--pn", "0.5", "--trials", "1000",
+         "--out", "n.csv"],
+    ], ids=["sampled", "smp", "noise"])
+    def test_csv_report_imports_no_csv_module(self, tmp_path, argv):
+        # every CSV cell is written by reports.render_value, unquoted
+        script = ("import sys; from qfp.cli import main; main(sys.argv[1:]);"
+                  " print('csv' in sys.modules)")
+        out = subprocess.run(
+            [sys.executable, "-c", script, *argv], cwd=tmp_path,
+            env=CHILD_ENV, capture_output=True, text=True,
+            check=True).stdout.split()
+        assert (tmp_path / argv[argv.index("--out") + 1]).exists()
+        assert out[-1] == "False"
+
     def test_unit_equivalence_end_to_end(self, tmp_path):
         j1, j2 = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["feasibility", "--L", "10km", "--period", "1ns",
