@@ -155,6 +155,7 @@ def breakeven_n(epsilon: float, mu: float = 2.0) -> int:
     Uses the rate-1/mu distance nu = justesen_nu(mu) and the matching
     repetition count k; see :func:`breakeven_for_k`.
     """
+    check_target_error(epsilon)
     return breakeven_for_k(repetitions_needed(justesen_nu(mu), epsilon))
 
 

@@ -81,13 +81,7 @@ def _float_list(text: str) -> list[float]:
 
 # --- config-file keys: each subcommand's option dests ----------------------
 
-def _subparser(parser: argparse.ArgumentParser,
-               command: str) -> argparse.ArgumentParser:
-    return next(a for a in parser._actions
-                if isinstance(a, argparse._SubParsersAction)).choices[command]
-
-
-def _config_types(parser: argparse.ArgumentParser, command: str) -> dict:
+def _config_types(subparser: argparse.ArgumentParser) -> dict:
     """Config key -> converter for one subcommand, read off its options.
 
     A key is an option's dest and converts as the option's value does; a
@@ -95,7 +89,7 @@ def _config_types(parser: argparse.ArgumentParser, command: str) -> dict:
     """
     return {a.dest: (_parse_bool if isinstance(a, argparse._StoreTrueAction)
                      else a.type or str)
-            for a in _subparser(parser, command)._actions
+            for a in subparser._actions
             if a.dest not in ("help", "config")}
 
 
@@ -478,7 +472,7 @@ def build_parser() -> _Parser:
                              (fea, cmd_feasibility)):
         command.add_argument("--out", help="CSV output path")
         command.add_argument("--json", help="JSON output path")
-        command.set_defaults(handler=handler)
+        command.set_defaults(handler=handler, subparser=command)
 
     cod = sub.add_parser("codes", help="code file tools")
     cod_sub = cod.add_subparsers(dest="action", parser_class=_Parser)
@@ -517,9 +511,8 @@ def main(argv=None) -> int:
             if args.config:
                 # the file's section becomes the subcommand's defaults; a
                 # second parse lets every explicit flag win over them
-                types = _config_types(parser, args.command)
-                _subparser(parser, args.command).set_defaults(
-                    **_load_config_section(args.config, args.command, types))
+                args.subparser.set_defaults(**_load_config_section(
+                    args.config, args.command, _config_types(args.subparser)))
                 args = parser.parse_args(argv)
             if args.out and args.json and (os.path.realpath(args.out)
                                            == os.path.realpath(args.json)):

@@ -7,7 +7,9 @@ distributions, survival probabilities) are precomputed once in float64;
 the per-draw work is comparisons and integer arithmetic.  The two
 exhaustive scans (minimum codeword weight, SMP strategy search) return
 exactly what a plain enumeration of their whole search space returns,
-the SMP witness included; ``perfbench/`` times each kernel in CLI runs.
+the SMP witness included.  ``perfbench/`` times each kernel in CLI runs
+but :func:`noise_verdicts`: a generator, whose call returns before its
+first draw.
 
 Stream contract
 ---------------
@@ -91,13 +93,6 @@ def splitmix64_stream(seed: int, count: int, start: int = 0) -> np.ndarray:
     return _mix(z, steps)
 
 
-def derive_stream_seeds(master_seed: int, trials: int,
-                        start: int = 0) -> np.ndarray:
-    """Substream seeds of trials ``start .. start + trials - 1``: trial
-    ``i`` gets output ``i + 1`` of the master stream."""
-    return splitmix64_stream(master_seed, trials, start)
-
-
 def check_runs(k: int, trials: int, points: int = 1) -> None:
     """Charge ``trials`` protocols of ``k`` runs, evaluated at ``points``
     sweep points, to the work budget, a started block of trials as a full
@@ -109,7 +104,7 @@ def _trial_blocks(master_seed: int, trials: int):
     # (offset, substream seeds) of each block of trials, in trial order
     for start in range(0, trials, _TRIAL_BLOCK):
         count = min(_TRIAL_BLOCK, trials - start)
-        yield start, derive_stream_seeds(master_seed, count, start)
+        yield start, splitmix64_stream(master_seed, count, start)
 
 
 _ALWAYS, _NEVER = 0, 1 << 64  # cuts every output passes / none reaches
@@ -265,11 +260,8 @@ def noise_verdicts(p_zero: float, p_one: float, p_survive: float,
             dark_e = draws.at_least(j + 4, dark)
             dark_n = draws.at_least(j + 5, dark)
             for i in range(points):
-                tot_e, tot_n = signal_e, signal_n
-                for fired in dark_e[i * w:(i + 1) * w]:
-                    tot_e = tot_e + fired
-                for fired in dark_n[i * w:(i + 1) * w]:
-                    tot_n = tot_n + fired
+                tot_e = sum(dark_e[i * w:(i + 1) * w], signal_e)
+                tot_n = sum(dark_n[i * w:(i + 1) * w], signal_n)
                 valid = single & (tot_e + tot_n == 1)
                 kept[i] |= valid
                 any_n[i] |= valid & (tot_n == 1)

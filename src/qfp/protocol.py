@@ -322,8 +322,8 @@ def batch_rows(params: ProtocolParams, x, y,
         counts = sorted(set(clicks))
         verdicts = [(Verdict.NOT_EQUAL if count else Verdict.EQUAL).value
                     for count in counts]
-        seeds = kernels.derive_stream_seeds(batch.master_seed, stop - start,
-                                            start)
+        seeds = kernels.splitmix64_stream(batch.master_seed, stop - start,
+                                          start)
         return clicks, counts, [verdicts, counts], seeds.tolist()
 
     return reports.Rows(_run_row(params.code, params.k, x, y, batch.pn_exact,

@@ -170,8 +170,9 @@ class TestBreakeven:
     def test_domain_propagates(self):
         with pytest.raises(DomainError):
             breakeven_n(0.01, 1.5)
-        with pytest.raises(DomainError):
-            breakeven_n(0.0, 2.0)
+        for epsilon in (0.0, 0.5, 0.7):
+            with pytest.raises(DomainError):
+                breakeven_n(epsilon, 2.0)
 
 
 class TestFullBoundReport:

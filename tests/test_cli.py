@@ -1,5 +1,6 @@
 """CLI behavior: subcommands, config files, determinism, exit codes."""
 
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -866,7 +867,7 @@ class TestConfigFiles:
     @pytest.mark.parametrize("command", sorted(CONFIG_SAMPLES))
     def test_every_option_is_a_config_key(self, command, tmp_path):
         parser = cli.build_parser()
-        types = cli._config_types(parser, command)
+        types = cli._config_types(parser.parse_args([command]).subparser)
         samples = CONFIG_SAMPLES[command]
         assert set(types) == set(samples)
         for key, (raw, value) in samples.items():
@@ -929,12 +930,57 @@ class TestConfigFiles:
             json_path.unlink()
         assert results[0] == results[1]
 
-    @pytest.mark.parametrize("key", ["config", "help", "L"])
+    @pytest.mark.parametrize("key", ["config", "help", "L", "handler",
+                                     "subparser"])
     def test_non_option_keys_rejected(self, key, tmp_path, capsys):
         conf = tmp_path / "c.cfg"
         conf.write_text(f"[feasibility]\n{key} = x\n")
         assert main(["feasibility", "--config", str(conf)]) == 1
         assert "unknown key" in capsys.readouterr().err
+
+
+def _type_name(convert) -> str | None:
+    # the cli name of a converter, else its own: parse_length and
+    # parse_time are both closures named "parse"
+    if convert is None:
+        return None
+    return next((name for name, value in vars(cli).items()
+                 if value is convert), convert.__name__)
+
+
+def _option_table(parser) -> list[str]:
+    """One line per action of ``parser`` and of each parser below it, the
+    subcommand entries included: what ``--help`` and a config file read
+    of each option.  Values of ``set_defaults`` are not actions."""
+    lines = []
+    for action in parser._actions:
+        cells = (parser.prog, type(action).__name__, action.option_strings,
+                 action.dest, action.default, _type_name(action.type),
+                 action.nargs, action.metavar, action.required,
+                 action.help,
+                 list(action.choices) if action.choices else None)
+        lines.append(" | ".join(map(repr, cells)))
+        if isinstance(action, argparse._SubParsersAction):
+            # each subcommand's help line, then its parser, once: an alias
+            # names the same parser again
+            lines += [repr((parser.prog, entry.metavar, entry.help))
+                      for entry in action._get_subactions()]
+            for sub in dict.fromkeys(action.choices.values()):
+                lines += _option_table(sub)
+    return lines
+
+
+class TestOptionTable:
+    # sha256 of the option table of qfp and its seven subparsers, recorded
+    # when --help was last compared byte for byte; --help's own layout
+    # moves with the Python version, this table does not
+    OPTIONS_SHA256 = (
+        "6bb532817a345106d2a344d59c1f5893136f21fb5101262df713ed7cfe9713f0")
+
+    def test_options_are_pinned(self):
+        table = "\n".join(_option_table(cli.build_parser()))
+        assert hashlib.sha256(table.encode()).hexdigest() == (
+            self.OPTIONS_SHA256), table
 
 
 class TestTableLessModes:

@@ -67,6 +67,10 @@ class TestEncode:
         with pytest.raises(DimensionError):
             encode(identity_code(4), "101")
 
+    def test_hamming_distance_length_mismatch(self):
+        with pytest.raises(DimensionError):
+            hamming_distance("01", "011")
+
     def test_zero_message_maps_to_zero_word(self):
         code = hadamard_code(3)
         assert not encode(code, "000").any()
@@ -322,6 +326,11 @@ class TestCodeType:
         with pytest.raises(DimensionError):
             Code(2, 3, 1, CodeKind.IDENTITY, np.eye(2, dtype=np.uint8))
 
+    def test_generator_entries_must_be_bits(self):
+        gen = np.array([[0, 2], [1, 0]], dtype=np.uint8)
+        with pytest.raises(DomainError, match="must be bits"):
+            Code(2, 2, 1, CodeKind.RANDOM_LINEAR, gen)
+
     def test_generator_read_only(self):
         code = identity_code(2)
         with pytest.raises(ValueError):
@@ -426,6 +435,9 @@ class TestFormulaCodes:
         (2, 3, CodeKind.IDENTITY), (2, 5, CodeKind.REPETITION),
         (3, 9, CodeKind.HADAMARD), (10**20, 4, CodeKind.HADAMARD),
         (2, 4, CodeKind.RANDOM_LINEAR),
+        # an empty shape has no formula: without the n, m >= 1 guard,
+        # (0, 0) would pass m == n and (0, 3) would divide by n = 0
+        (0, 0, CodeKind.IDENTITY), (0, 3, CodeKind.REPETITION),
     ])
     def test_no_formula_without_generator(self, n, m, kind):
         with pytest.raises(DimensionError):

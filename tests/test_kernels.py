@@ -52,16 +52,17 @@ class TestStreams:
             assert vec == _reference_splitmix(seed, 8)
 
     def test_derived_seeds_are_master_stream_outputs(self):
+        # trial i of a batch gets output i + 1 of the master stream
         master = 987654321
-        seeds = kernels.derive_stream_seeds(master, 10)
+        seeds = np.concatenate([s for _, s in kernels._trial_blocks(master, 10)])
         assert [int(s) for s in seeds] == _reference_splitmix(master, 10)
 
     @pytest.mark.parametrize("start,count", [(0, 10), (1, 9), (7, 3),
                                              (9, 1), (4, 0)])
     def test_offset_seeds_slice_the_stream(self, start, count):
         master = 2**64 - 5
-        full = kernels.derive_stream_seeds(master, 10)
-        got = kernels.derive_stream_seeds(master, count, start)
+        full = kernels.splitmix64_stream(master, 10)
+        got = kernels.splitmix64_stream(master, count, start)
         assert got.dtype == np.uint64
         assert np.array_equal(got, full[start:start + count])
 
@@ -176,7 +177,7 @@ def _reference_click_count(probs, k, seed):
 def _reference_click_counts(probs, k, trials, master_seed):
     """The reference count of each trial, from its substream seed."""
     return np.array([_reference_click_count(probs, k, int(seed)) for seed
-                     in kernels.derive_stream_seeds(master_seed, trials)],
+                     in kernels.splitmix64_stream(master_seed, trials)],
                     dtype=np.int64)
 
 
@@ -192,7 +193,7 @@ class TestClickCounts:
         # each trial replayed from its substream seed alone, against the
         # bisecting reference on the stream of that seed; a seed is read
         # modulo 2^64
-        seeds = [*kernels.derive_stream_seeds(77, 50).tolist(), 0, 2**64 - 1,
+        seeds = [*kernels.splitmix64_stream(77, 50).tolist(), 0, 2**64 - 1,
                  -1, 2**64 + 5]
         for probs in ([0.1, 0.4, 0.3, 0.2], [0.5, 0.5, 0.0, 0.0],
                       [0.0, 0.0, 0.5, 0.5]):
@@ -299,7 +300,7 @@ def _advance_u01(states):
 def _reference_noise_verdicts(p_zero, p_one, p_survive, p_click_n,
                               dark_prob, dark_slots, k, trials, seed):
     """noise_verdicts drawing dark counts from the full binomial table."""
-    states = kernels.derive_stream_seeds(seed, trials)
+    states = kernels.splitmix64_stream(seed, trials)
     cdf = binomial_cdf(dark_slots, dark_prob)
     survived = np.zeros(trials, dtype=np.int64)
     any_n = np.zeros(trials, dtype=bool)
@@ -490,6 +491,10 @@ class TestMinWeight:
     def test_golden_random_codes(self):
         assert random_linear_code(16, 40, seed=1).t == 7
         assert random_linear_code(20, 64, seed=7).t == 11
+
+    def test_one_dimensional_generator_rejected(self):
+        with pytest.raises(ValueError, match="2-d bit matrix"):
+            kernels.min_nonzero_weight(np.zeros(4, dtype=np.uint8))
 
     def test_size_cap(self):
         with pytest.raises(ResourceLimitError, match="oracle messages"):

@@ -83,7 +83,7 @@ def test_workload_replay_is_the_batch_trial(monkeypatch):
     assert workloads.K == K and workloads.SAMPLED_N == 4
     code = hadamard_code(4)
     batch = run_batch(ProtocolParams(4, code, K, 0.01), X, Y, SEED, 64)
-    seeds = kernels.derive_stream_seeds(SEED, 64).tolist()
+    seeds = kernels.splitmix64_stream(SEED, 64).tolist()
     for clicks, seed in zip(batch.n_clicks.tolist(), seeds):
         verdict = "NotEqual" if clicks else "Equal"
         assert workloads.replay(X, Y, seed) == (verdict, clicks)

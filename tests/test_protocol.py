@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfp import (DimensionError, DomainError, ProtocolParams, Verdict,
@@ -293,7 +293,7 @@ class TestRunBatch:
         code = hadamard_code(4)
         params = ProtocolParams(4, code, 6, 0.01)
         batch = run_batch(params, "0000", "0111", master_seed=5, trials=25)
-        seeds = kernels.derive_stream_seeds(5, 25)
+        seeds = kernels.splitmix64_stream(5, 25)
         for i in range(25):
             single = run_sampled(params, "0000", "0111", int(seeds[i]))
             assert single.n_clicks_not_equal == int(batch.n_clicks[i])
@@ -333,6 +333,11 @@ class TestRepetitionMath:
 
     @settings(max_examples=200, deadline=None)
     @given(nu=st.floats(1e-6, 1 - 1e-6), eps=st.floats(1e-9, 1 - 1e-9))
+    # the log ratio gives 30 and the downward correction 29
+    @example(nu=0.5, eps=2**-29)
+    # the log ratio gives 70 and the upward correction 71: eps is the
+    # float just below (1 - 4/401)^70
+    @example(nu=4 / 401, eps=0.4957119517680512)
     def test_defining_inequality(self, nu, eps):
         k = repetitions_needed(nu, eps)
         assert (1 - nu) ** k <= eps
@@ -473,8 +478,8 @@ class TestReportRows:
         params = ProtocolParams(4, code, 4, 0.01)
         batch = run_batch(params, "0011", "0001", master_seed=21, trials=5)
         text = "".join(chunk for [chunk] in reports.chunks(
-            {"rows": batch_rows(params, "0011", "0001", batch)},
-            RUN_CSV_FIELDS, False))
+            {"rows": batch_rows(params, "0011", "0001", batch)}, True,
+            False))
         reader = csv.reader(io.StringIO(text))
         header = next(reader)
         rows = [dict(zip(header, cells)) for cells in reader]
@@ -494,7 +499,7 @@ def _dict_rows(params, x, y, batch):
         "pN_exact": batch.pn_exact,
         "verdict": "NotEqual" if clicks else "Equal",
         "n_clicks_N": int(clicks), "seed": int(seed),
-    } for clicks, seed in zip(batch.n_clicks, kernels.derive_stream_seeds(
+    } for clicks, seed in zip(batch.n_clicks, kernels.splitmix64_stream(
         batch.master_seed, batch.trials))]
 
 
@@ -511,10 +516,10 @@ def _phase_dict_rows(q, pairs):
     return rows
 
 
-def _rendered(fieldnames, payload, rows):
+def _rendered(payload, rows):
     """CSV and JSON text of a streamed table, ``rows`` under "rows",
     rendered in one pass."""
-    chunks = reports.chunks({**payload, "rows": rows}, fieldnames, True)
+    chunks = reports.chunks({**payload, "rows": rows}, True, True)
     return tuple(map("".join, zip(*chunks)))
 
 
@@ -532,8 +537,7 @@ class TestStreamedReports:
         batch = run_batch(params, x, y, master_seed=trials, trials=trials)
         rows = _dict_rows(params, x, y, batch)
         payload = {"command": "run", "mode": "sampled", "trials": trials}
-        assert _rendered(RUN_CSV_FIELDS, payload,
-                         batch_rows(params, x, y, batch)) == (
+        assert _rendered(payload, batch_rows(params, x, y, batch)) == (
             reports.csv_text(RUN_CSV_FIELDS, rows),
             reports.json_text({**payload, "rows": rows}))
 
@@ -551,8 +555,7 @@ class TestStreamedReports:
         payload = {"command": "run", "mode": "sampled", "k": k}
         start = time.perf_counter()
         csv_text, json_text = _rendered(
-            RUN_CSV_FIELDS, payload,
-            batch_rows(params, "0000", "0110", batch))
+            payload, batch_rows(params, "0000", "0110", batch))
         assert time.perf_counter() - start < 1.0
         assert csv_text == reports.csv_text(RUN_CSV_FIELDS, rows)
         assert json_text == reports.json_text({**payload, "rows": rows})
@@ -570,7 +573,7 @@ class TestStreamedReports:
                                ([q + q - 1], [(1, q - 1)]),
                                ([q + 1], [(1, 1)])]:
             rows = _phase_dict_rows(q, pairs)
-            assert _rendered(PHASE_CSV_FIELDS, payload,
+            assert _rendered(payload,
                              phase_rows(q, table, avg, indices)) == (
                 reports.csv_text(PHASE_CSV_FIELDS, rows),
                 reports.json_text({**payload, "rows": rows}))
@@ -590,9 +593,7 @@ class TestStreamedReports:
             *sampled.block(start, stop)[:3], [seed] * (stop - start)))
         q = math.isqrt(LIMITS["phase pairs"])
         table, avg = phase_protocol_table(q)
-        for fieldnames, rows in [
-                (RUN_CSV_FIELDS, widest),
-                (PHASE_CSV_FIELDS, phase_rows(q, table, avg, range(q * q)))]:
+        for rows in [widest, phase_rows(q, table, avg, range(q * q))]:
             sizes = [len(text) for chunk in reports.chunks(
-                {"rows": rows}, fieldnames, True) for text in chunk]
+                {"rows": rows}, True, True) for text in chunk]
             assert max(sizes) < 128 * 1024
