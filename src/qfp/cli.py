@@ -99,7 +99,11 @@ def _load_config_section(path: str, section: str, types: dict) -> dict:
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh, source=path)
+            text = fh.read((1 << 20) + 1)  # read to the bound, and one more
+        if len(text) > 1 << 20:
+            raise ConfigError(
+                f"config {path!r} is longer than {1 << 20} characters")
+        parser.read_string(text, source=path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except configparser.Error as exc:

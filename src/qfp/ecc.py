@@ -10,13 +10,15 @@ distance trade-off of Justesen-style constructions enters only through
 
 from __future__ import annotations
 
+import contextlib
 import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .errors import CodeFormatError, DimensionError, DomainError, check
+from .errors import (LIMITS, CodeFormatError, DimensionError, DomainError,
+                     check)
 
 
 class CodeKind(enum.Enum):
@@ -197,9 +199,8 @@ def random_linear_code(n: int, m: int, seed: int) -> Code:
     kernels.check_oracle(n, m)  # before the stream is drawn and unpacked
     words_per_row = (m + 63) // 64
     words = kernels.splitmix64_stream(seed, n * words_per_row)
-    raw = np.unpackbits(words.astype("<u8").view(np.uint8),
-                        bitorder="little")
-    gen = raw.reshape(n, words_per_row * 64)[:, :m]
+    gen = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8)
+                        .reshape(n, -1), axis=1, count=m, bitorder="little")
     return Code(n, m, kernels.min_nonzero_weight(gen),
                 CodeKind.RANDOM_LINEAR, gen)
 
@@ -229,39 +230,56 @@ def justesen_nu(mu: float) -> float:
 #
 # Header line "n m t kind", then n generator rows as 0/1 strings.
 
+def _opened(file, mode: str, **kwargs):
+    if isinstance(file, (str, bytes)) or hasattr(file, "__fspath__"):
+        return open(file, mode, encoding="utf-8", **kwargs)
+    return contextlib.nullcontext(file)  # a caller's file stays open
+
+
 def save_code(code: Code, dest) -> None:
-    own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")
-    fh = open(dest, "w", encoding="utf-8", newline="") if own else dest
-    try:
+    with _opened(dest, "w", newline="") as fh:
         fh.write(f"{code.n} {code.m} {code.t} {code.kind.value}\n")
         for i in range(code.n):
             fh.write(bits_to_string(code.row(i)) + "\n")
-    finally:
-        if own:
-            fh.close()
 
 
 def load_code(src) -> Code:
-    own = isinstance(src, (str, bytes)) or hasattr(src, "__fspath__")
-    fh = open(src, "r", encoding="utf-8") if own else src
-    try:
-        return _read_code(fh)
-    except UnicodeDecodeError as exc:
-        raise CodeFormatError(f"code file is not UTF-8: {exc}") from exc
-    finally:
-        if own:
-            fh.close()
+    with _opened(src, "r") as fh:
+        try:
+            return _read_code(fh)
+        except UnicodeDecodeError as exc:
+            raise CodeFormatError(f"code file is not UTF-8: {exc}") from exc
+
+
+def _next_line(fh, size: int) -> str | None:
+    """The next non-blank line without its newline, None at the end.
+
+    At most ``size + 1`` characters of a line are kept; the rest of a
+    longer line is read and dropped 2^16 characters at a time, so no line
+    is held whole, and it is blank only if every piece is whitespace.
+    """
+    while line := fh.readline(size + 1):
+        blank, piece = not line.strip(), line
+        while piece and not piece.endswith("\n"):
+            piece = fh.readline(1 << 16)
+            blank = blank and not piece.strip()
+        if not blank:
+            return line.rstrip("\n")
+    return None
 
 
 def _read_code(fh) -> Code:
     # the header's code is made, and charged to the budget, before any
     # row is read; each row is checked as it is read: a RandomLinear file
     # keeps only its rows' bytes (no larger than the file), any other
-    # kind compares each row with its code's formula and keeps none
-    lines = (ln.rstrip("\n") for ln in fh)
-    header = next((ln for ln in lines if ln.strip()), None)
+    # kind compares each row with its code's formula and keeps none.  A
+    # line is read only up to the most characters it may have and one
+    # more, so an over-long row is cut there and fails its length check
+    header = _next_line(fh, 4096)
     if header is None:
         raise CodeFormatError("empty code file")
+    if len(header) > 4096:
+        raise CodeFormatError("bad header: longer than 4096 characters")
     parts = header.split()
     if len(parts) != 4:
         raise CodeFormatError(f"bad header {header!r}; expected 'n m t kind'")
@@ -276,11 +294,12 @@ def _read_code(fh) -> Code:
     if keep:
         check("generator entries", n, m)
     code = _canonical_code(kind, n, m)  # None for a shape with no formula
+    # a RandomLinear m past the budget was refused above and no formula
+    # has one, so no row that can be kept or matched is cut
+    size = min(m, LIMITS["generator entries"])
     buf = bytearray()
     rows, bad_row, rows_match = 0, None, code is not None
-    for row in lines:
-        if not row.strip():
-            continue
+    while (row := _next_line(fh, size)) is not None:
         rows += 1
         if bad_row is not None or rows > n:
             continue  # past a bad row or the last one, only counted

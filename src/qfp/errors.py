@@ -41,7 +41,9 @@ LIMITS = {
     # but takes ~7-11 s, as each of its 2^15 blocks of one hi value
     # rebuilds both xor spans (n = 26: ~0.3 s, n = 28: ~1.2 s)
     "oracle messages": 1 << 20,
-    # 2^n x ceil(m / 64) tallied weight words: n = 20, m = 65536 takes ~3 s
+    # 2^n x ceil(m / 64) tallied weight words: n = 20, m = 65536 takes
+    # ~3 s; the widest admitted generators peak near 56 MB (n = 10,
+    # m = 2,000,000) and 52 MB (n = 16, m = 2^20)
     "oracle word steps": 1 << 30,
     "SMP scored pairs": 10**8,  # strategies x q^2 input pairs
     # sampled trials written by --out or --json: 2^20 take ~1-2 s at a

@@ -277,15 +277,6 @@ def noise_verdicts(p_zero: float, p_one: float, p_survive: float,
 _WEIGHT_BLOCK = 1 << 15
 
 
-def _pack_rows(generator: np.ndarray) -> np.ndarray:
-    n, m = generator.shape
-    words = (m + 63) // 64
-    padded = np.zeros((n, words * 64), dtype=np.uint8)
-    padded[:, :m] = generator
-    packed = np.packbits(padded, axis=1, bitorder="little")
-    return packed.view("<u8").reshape(n, words)
-
-
 def _xor_span(words: np.ndarray) -> np.ndarray:
     # entry c is the XOR of the words selected by the bits of c
     span = np.zeros(1 << words.shape[0], dtype=np.uint64)
@@ -310,21 +301,22 @@ def min_nonzero_weight(generator: np.ndarray) -> int:
     m + 1, so memory is flat in the code length, and only the zero message
     (``hi = lo = 0``) is skipped.
     """
-    g = np.ascontiguousarray(generator, dtype=np.uint8)
+    g = np.asarray(generator, dtype=np.uint8)
     if g.ndim != 2:
         raise ValueError("generator must be a 2-d bit matrix")
     n, m = g.shape
     check_oracle(n, m)
-    columns = _pack_rows(g).T  # one row of n words per 64 code columns
+    packed = np.zeros((n, 8 * ((m + 63) // 64)), dtype=np.uint8)
+    packed[:, :(m + 7) // 8] = np.packbits(g, axis=1, bitorder="little")
+    columns = packed.view("<u8").T  # one row of n words per 64 code columns
     h = n // 2
-    block = max(1, _WEIGHT_BLOCK >> h)
+    block = min(max(1, _WEIGHT_BLOCK >> h), 1 << (n - h))
     best = m + 1
     tally = np.min_scalar_type(best)
     for start in range(0, 1 << (n - h), block):
-        stop = min(start + block, 1 << (n - h))
-        weights = np.zeros((stop - start, 1 << h), dtype=tally)
+        weights = np.zeros((block, 1 << h), dtype=tally)
         for words in columns:
-            hi = _xor_span(words[h:])[start:stop]
+            hi = _xor_span(words[h:])[start:start + block]
             weights += np.bitwise_count(hi[:, None] ^ _xor_span(words[:h]))
         if start == 0:
             weights[0, 0] = m + 1  # the zero message

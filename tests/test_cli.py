@@ -710,6 +710,46 @@ class TestCodesCommand:
                              tmp_path)
         assert rc == 0
 
+    def test_widest_random_code_memory(self, tmp_path):
+        # the oracle packs the 10 x 2,000,000 generator straight into
+        # 64-bit words, and the code keeps no padding columns (~56 MB;
+        # 70-72 MB with a padded byte copy of the generator)
+        rc, _, peak_mb = run_child(
+            ["codes", "export", "--kind", "random", "--n", "10",
+             "--m", "2000000", "--out", "wide.code"], tmp_path)
+        assert rc == 0
+        assert peak_mb < 62
+        rc, _, peak_mb = run_child(["codes", "verify", "--in", "wide.code"],
+                                   tmp_path)
+        assert rc == 0
+        assert peak_mb < 62
+
+    # a file of ``before``, a 16 MiB run of ``filler``, then ``after``
+    @pytest.mark.parametrize("before,filler,after,rc,message", [
+        # a row is read to one character past its m bits and fails
+        ("2 4 1 RandomLinear\n", "0", "\n0101\n", 1,
+         "error: generator row 1 is not 4 bits"),
+        # a blank line is dropped in pieces, between rows or before the
+        # header
+        ("2 4 1 RandomLinear\n1010\n", " ", "\n0101\n", 0, "n=2 m=4 t=1"),
+        ("", " ", "\n2 4 1 RandomLinear\n1010\n0101\n", 0, "n=2 m=4 t=1"),
+        # a header is read to 4096 characters and one more
+        ("", " ", "2 4 1 RandomLinear\n1010\n0101\n", 1,
+         "error: bad header: longer than 4096 characters"),
+    ], ids=["long row", "blank row", "blank before header", "long header"])
+    def test_long_lines_read_in_bounded_memory(self, before, filler, after,
+                                               rc, message, tmp_path):
+        # held whole, each 16 MiB line took the reader past 60 MB
+        (tmp_path / "long.code").write_text(
+            before + filler * (16 << 20) + after)
+        out, err = tmp_path / "show.out", tmp_path / "show.err"
+        with open(out, "wb") as fo, open(err, "wb") as fe:
+            got, _, peak_mb = run_child(["codes", "show", "--in",
+                                         "long.code"], tmp_path, fo, fe)
+        assert got == rc
+        assert message in (out if rc == 0 else err).read_text()
+        assert peak_mb < 40
+
     def test_non_utf8_code_file_is_format_error(self, tmp_path, capsys):
         path = tmp_path / "bad.code"
         path.write_bytes(b"\xff\xfe1 1 1 Identity\n1\n")
@@ -854,6 +894,33 @@ class TestConfigFiles:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
         assert "cannot read config" in capsys.readouterr().err
+
+    def test_long_config_refused_at_once(self, tmp_path):
+        # read to 2^20 characters and one more, and refused unparsed: a
+        # 16 MiB comment line was accepted at ~62 MB
+        (tmp_path / "long.cfg").write_text(
+            "[run]\n#" + "c" * (16 << 20) + "\nk = 3\n")
+        with open(tmp_path / "long.err", "wb") as err:
+            rc, seconds, peak_mb = run_child(["run", "--config", "long.cfg"],
+                                             tmp_path, stderr=err)
+        assert rc == 1
+        assert seconds < 1.0 and peak_mb < 40
+        assert "is longer than 1048576 characters" in (
+            tmp_path / "long.err").read_text()
+
+    def test_config_at_the_bound_loads(self, tmp_path):
+        head = "[run]\ncode = hadamard\nn = 2\nx = 00\ny = 01\nexact = 1\n#"
+        conf = tmp_path / "at.cfg"
+        conf.write_text(head + "c" * ((1 << 20) - len(head) - 1) + "\n")
+        assert conf.stat().st_size == 1 << 20
+        with open(tmp_path / "at.out", "wb") as out:
+            rc, _, _ = run_child(["run", "--config", "at.cfg"], tmp_path,
+                                 stdout=out)
+        assert rc == 0
+        assert "pN" in (tmp_path / "at.out").read_text()
+        # one character more is refused
+        conf.write_text(head + "c" * ((1 << 20) - len(head)) + "\n")
+        assert main(["run", "--config", str(conf)]) == 1
 
     def test_config_for_feasibility_with_units(self, tmp_path):
         conf = tmp_path / "f.cfg"

@@ -467,7 +467,14 @@ class TestMinWeight:
     def test_matches_direct_enumeration(self, n, m):
         rng = np.random.default_rng(n * 1000 + m)
         gen = rng.integers(0, 2, size=(n, m), dtype=np.uint8)
-        assert kernels.min_nonzero_weight(gen) == _reference_min_weight(gen)
+        weight = _reference_min_weight(gen)
+        assert kernels.min_nonzero_weight(gen) == weight
+        # a strided view whose hidden columns are all ones, and bools: the
+        # oracle packs what it is given, with no contiguous uint8 copy
+        wide = np.ones((n, m + 67), dtype=np.uint8)
+        wide[:, :m] = gen
+        assert kernels.min_nonzero_weight(wide[:, :m]) == weight
+        assert kernels.min_nonzero_weight(gen.astype(bool)) == weight
 
     def test_blocked_scan(self, monkeypatch):
         # one hi value per block; the minimum is the last row on its own,
