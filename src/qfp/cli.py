@@ -320,6 +320,7 @@ def cmd_feasibility(args) -> int:
     model = _build_model(args)
     if args.noise or args.sweep_dark is not None:
         _require(args, ["pn"])
+        args.seed &= 2**64 - 1  # the seed drawn from, as run reports it
         # every point is computed before the first line is printed, so a
         # rejected input (pn, k, trials, slot window, swept value) leaves
         # stdout empty

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import kernels, reports
 from .errors import (LIMITS, CodeFormatError, DimensionError, DomainError,
                      check)
 
@@ -230,21 +230,28 @@ def justesen_nu(mu: float) -> float:
 #
 # Header line "n m t kind", then n generator rows as 0/1 strings.
 
-def _opened(file, mode: str, **kwargs):
-    if isinstance(file, (str, bytes)) or hasattr(file, "__fspath__"):
-        return open(file, mode, encoding="utf-8", **kwargs)
-    return contextlib.nullcontext(file)  # a caller's file stays open
+def _is_path(file) -> bool:
+    return isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")
 
 
 def save_code(code: Code, dest) -> None:
-    with _opened(dest, "w", newline="") as fh:
-        fh.write(f"{code.n} {code.m} {code.t} {code.kind.value}\n")
+    """Write ``code`` to an open text file, or to a path through a temp
+    file and a rename (:func:`reports.write`), so a failed write leaves
+    the old file."""
+    def lines():  # one line per chunk, none kept after its write
+        yield [f"{code.n} {code.m} {code.t} {code.kind.value}\n"]
         for i in range(code.n):
-            fh.write(bits_to_string(code.row(i)) + "\n")
+            yield [bits_to_string(code.row(i)) + "\n"]
+
+    if _is_path(dest):
+        reports.write([dest], lines())
+    else:  # a caller's file stays open
+        dest.writelines(line for [line] in lines())
 
 
 def load_code(src) -> Code:
-    with _opened(src, "r") as fh:
+    with (open(src, encoding="utf-8") if _is_path(src)
+          else contextlib.nullcontext(src)) as fh:
         try:
             return _read_code(fh)
         except UnicodeDecodeError as exc:

@@ -30,7 +30,7 @@ LIMITS = {
     # dark probabilities of one sweep: each adds (points x block) arrays
     # to every kernel block; 2^8 points peak near 58 MB
     "sweep points": 1 << 8,
-    # q = 300 with --all-pairs --out --json peaks near 32 MB in ~1 s
+    # q = 300 with --all-pairs --out --json peaks near 31 MB in ~0.5 s
     "phase pairs": 300**2,
     # n x m, every code kind, charged when the code is made (a code
     # file's as soon as its header parses) even where its generator is
@@ -46,7 +46,7 @@ LIMITS = {
     # m = 2,000,000) and 52 MB (n = 16, m = 2^20)
     "oracle word steps": 1 << 30,
     "SMP scored pairs": 10**8,  # strategies x q^2 input pairs
-    # sampled trials written by --out or --json: 2^20 take ~1-2 s at a
+    # sampled trials written by --out or --json: 2^20 take ~1 s at a
     # flat ~32 MB peak and write ~300 MB of files (68 MB CSV, 247 MB JSON)
     "report rows": 1 << 20,
 }

@@ -315,19 +315,16 @@ def batch_rows(params: ProtocolParams, x, y,
                batch: BatchResult) -> reports.Rows:
     """Report rows of a batch, one per trial, replayable from its seed:
     keyed by N-click count, which gives the verdict too, seed last."""
+    def cells(count):
+        return [(Verdict.NOT_EQUAL if count else Verdict.EQUAL).value, count]
+
     def block(start, stop):
-        # distinct counts from the keys, not np.unique, which imports all
-        # of numpy.ma on its first call
-        clicks = batch.n_clicks[start:stop].tolist()
-        counts = sorted(set(clicks))
-        verdicts = [(Verdict.NOT_EQUAL if count else Verdict.EQUAL).value
-                    for count in counts]
-        seeds = kernels.splitmix64_stream(batch.master_seed, stop - start,
-                                          start)
-        return clicks, counts, [verdicts, counts], seeds.tolist()
+        return batch.n_clicks[start:stop].tolist(), [kernels.splitmix64_stream(
+            batch.master_seed, stop - start, start).tolist()]
 
     return reports.Rows(_run_row(params.code, params.k, x, y, batch.pn_exact,
-                                 *[reports.SLOT] * 3), batch.trials, block)
+                                 *[reports.SLOT] * 3), batch.trials, cells,
+                        block)
 
 
 PHASE_CSV_FIELDS = ("q", "x", "y", "pN_exact", "referee_error", "avg_error")
@@ -335,13 +332,12 @@ PHASE_CSV_FIELDS = ("q", "x", "y", "pN_exact", "referee_error", "avg_error")
 
 def phase_rows(q: int, table: np.ndarray, avg: float, pairs) -> reports.Rows:
     """Report rows of the symbol ``pairs`` (x * q + y for (x, y)) from the
-    ``table`` and ``avg`` of :func:`phase_protocol_table`, keyed by pair."""
+    ``table`` and ``avg`` of :func:`phase_protocol_table`, keyed by x."""
     def block(start, stop):
         x, y = np.divmod(pairs[start:stop], q)
         pn = table[x, y]
-        keys = range(stop - start)
-        return (keys, keys, [x.tolist(), y.tolist(), pn.tolist()],
-                np.where(x == y, pn, 1.0 - pn).tolist())
+        return x.tolist(), [y.tolist(), pn.tolist(),
+                            np.where(x == y, pn, 1.0 - pn).tolist()]
 
-    cells = (q, *[reports.SLOT] * 4, avg)
-    return reports.Rows(dict(zip(PHASE_CSV_FIELDS, cells)), len(pairs), block)
+    template = dict(zip(PHASE_CSV_FIELDS, (q, *[reports.SLOT] * 4, avg)))
+    return reports.Rows(template, len(pairs), lambda x: [x], block)

@@ -38,10 +38,11 @@ def write(paths: Sequence, chunks: Iterable[Sequence[str]]) -> None:
         try:
             for path in paths:
                 files.append(open(
-                    f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp", "xb"))
+                    f"{os.fsdecode(path)}.{os.urandom(8).hex()}.tmp", "xb"))
             for chunk in chunks:
                 for fh, text in zip(files, chunk, strict=True):
                     fh.write(text.encode())
+                chunk = text = None  # freed before the next is made
         finally:
             for fh in files:
                 fh.close()
@@ -78,40 +79,46 @@ SLOT = "<slot>"  # stands for a cell that varies from row to row
 
 
 class Rows(NamedTuple):
-    """``size`` rows: ``template`` has :data:`SLOT` in each cell that varies;
-    ``block(start, stop)`` gives each row's key, the distinct keys, their
-    cells (one list per varying column but the last) and each row's last
-    varying cell, an int or a finite float."""
+    """``size`` rows: ``template`` has :data:`SLOT` in each cell that varies.
+    ``cells(key)`` gives the leading varying cells of every row with that
+    key; ``block(start, stop)`` gives each row's key and its other varying
+    cells, one list per column of ints or finite floats."""
 
     template: dict
     size: int
+    cells: Callable
     block: Callable
 
 
 def _stream(texts: Sequence[str], cells, rows: Rows) -> Iterator[list[str]]:
-    # each text holds two template rows and its ``cells`` renders a list of
-    # values in its format.  Split at the rendered slot, it gives the text
-    # before, inside, between and after the rows.  A row is its key's
-    # prefix (the joint and the row up to its last slot) and last cell.
+    # each text holds two template rows; its ``cells`` renders values in
+    # its format.  ``befores`` is the text before each slot of the second
+    # row, the joint first.  A row is its key's prefix, built once per
+    # table, then each tail cell after the text before it.
     splits = [text.split(render([SLOT])[0])
               for text, render in zip(texts, cells)]
-    joints = [parts[len(parts) // 2] for parts in splits]
-    prefixes = ["{}".join(part.replace("{", "{{").replace("}", "}}")
-                          for part in parts[len(parts) // 2:-1]).format
-                for parts in splits]
+    befores = [parts[len(parts) // 2:-1] for parts in splits]
+    prefixes = [{} for _ in texts]
 
     def block(start: int) -> list[str]:  # one row build for every file
-        keys, distinct, key_cells, last = rows.block(
-            start, min(start + _ROW_BLOCK, rows.size))
-        last = list(map(repr, last))
+        keys, tail = rows.block(start, min(start + _ROW_BLOCK, rows.size))
+        tail = [list(map(repr, column)) for column in tail]
+        for key in set(keys).difference(prefixes[0]):
+            values = rows.cells(key)
+            for before, prefix, render in zip(befores, prefixes, cells):
+                prefix[key] = "".join([text + cell for text, cell in zip(
+                    before, render(values))]) + before[len(values)]
+        width = 2 * len(tail)  # pieces per row
         chunk = []
-        for joint, prefix, render in zip(joints, prefixes, cells):
-            by_key = dict(zip(distinct, map(prefix, *map(render, key_cells))))
-            pieces = [joint] * (2 * len(last))
-            pieces[::2] = map(by_key.__getitem__, keys)
-            pieces[1::2] = last
+        for before, prefix in zip(befores, prefixes):
+            pieces = [None] * width
+            pieces[2::2] = before[len(before) - len(tail) + 1:]
+            pieces *= len(keys)
+            pieces[::width] = map(prefix.__getitem__, keys)
+            for i, column in enumerate(tail):
+                pieces[2 * i + 1::width] = column
             if start == 0:  # no joint before the first row
-                pieces[0] = pieces[0][len(joint):]
+                pieces[0] = pieces[0][len(before[0]):]
             chunk.append("".join(pieces))
         return chunk
 
@@ -137,7 +144,5 @@ def chunks(payload: dict, csv: bool, json: bool) -> Iterable[list[str]]:
         from json import dumps
 
         texts.append(json_text(payload))
-        # one C-encoded list parted at raw newlines, which JSON text never has
-        cells.append(lambda values: dumps(values, separators=(
-            "\n", ":"))[1:-1].split("\n"))
+        cells.append(lambda values: list(map(dumps, values)))
     return _stream(texts, cells, rows) if streamed else [texts]

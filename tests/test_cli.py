@@ -556,6 +556,18 @@ class TestFeasibilityCommand:
         assert row["parameter"] == "dark_count_prob"
         assert 0.0 <= float(row["false_equal_rate"]) <= 1.0
 
+    def test_master_seed_reported_mod_2_64(self, tmp_path, capsys):
+        # -1 and 2^64 - 1 draw the same stream, and are reported as run
+        # reports its master seed: reduced mod 2^64
+        outputs, jpath = [], tmp_path / "noise.json"
+        for seed in ("-1", str(2**64 - 1)):
+            assert main(["feasibility", "--noise", "--pn", "0.5", "--k", "3",
+                         "--trials", "100", "--seed", seed,
+                         "--json", str(jpath)]) == 0
+            outputs.append((capsys.readouterr().out, jpath.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert f"master_seed = {2**64 - 1}" in outputs[0][0]
+
     def test_long_link_dark_counts_bounded(self, tmp_path):
         # 1000 km at 1 ps is ~4.9e9 dark-count slots per detector window
         rc, seconds, peak_mb = run_child(
@@ -656,6 +668,24 @@ class TestCodesCommand:
         assert main([*argv, "--out", str(a)]) == 0
         assert main([*argv, "--seed", "0", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_failed_export_keeps_the_old_file(self, tmp_path):
+        # a 64 KiB file-size limit fails the write of a 1 MiB code: the
+        # code is written through a temp file and a rename, so the old
+        # file keeps its bytes and no temp file is left
+        (tmp_path / "my.code").write_bytes(b"old\n")
+        script = ("import resource, signal, sys;"
+                  " signal.signal(signal.SIGXFSZ, signal.SIG_IGN);"
+                  " resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 16,) * 2);"
+                  " from qfp.cli import main; sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "codes", "export", "--kind",
+             "hadamard", "--n", "16", "--out", "my.code"], cwd=tmp_path,
+            env=CHILD_ENV, capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "File too large" in proc.stderr
+        assert (tmp_path / "my.code").read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["my.code"]
 
     def test_missing_action(self, capsys):
         assert main(["codes"]) == 1

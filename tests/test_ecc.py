@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import os
 import tracemalloc
 
 import numpy as np
@@ -235,6 +236,13 @@ class TestCodeFiles:
         first = path.read_text()
         save_code(back, path)
         assert path.read_text() == first
+
+    def test_bytes_path_saved_in_place(self, tmp_path):
+        # a bytes path names the same file, its temp file renamed onto it
+        save_code(repetition_code(2, 2), os.fsencode(tmp_path / "code.txt"))
+        assert os.listdir(tmp_path) == ["code.txt"]
+        assert (tmp_path / "code.txt").read_text() == (
+            "2 4 2 Repetition\n1100\n0011\n")
 
     def test_header_format(self):
         buf = io.StringIO()

@@ -578,6 +578,28 @@ class TestStreamedReports:
                 reports.csv_text(PHASE_CSV_FIELDS, rows),
                 reports.json_text({**payload, "rows": rows}))
 
+    def test_each_key_rendered_once_per_table(self, monkeypatch):
+        # a count's cells are rendered the first time the count occurs, so
+        # ten blocks render no more cells than one
+        code = hadamard_code(4)
+        params = ProtocolParams(code.n, code, 2, 0.01)
+        batch = run_batch(params, "0000", "0110", master_seed=3, trials=40)
+        calls = []
+        render_value = reports.render_value
+
+        def counted(value):
+            calls.append(value)
+            return render_value(value)
+
+        monkeypatch.setattr(reports, "render_value", counted)
+        totals = []
+        for block in (40, 4):
+            monkeypatch.setattr(reports, "_ROW_BLOCK", block)
+            calls.clear()
+            _rendered({}, batch_rows(params, "0000", "0110", batch))
+            totals.append(len(calls))
+        assert totals[0] == totals[1]
+
     def test_chunks_stay_under_the_mmap_threshold(self):
         # the widest sampled row an admitted code renders (Hadamard n = 20,
         # k = 65536, every seed 2^64 - 1) and the largest phase table: no
@@ -590,7 +612,7 @@ class TestStreamedReports:
                              BatchResult(2.2250738585072014e-308, k, seed,
                                          clicks))
         widest = sampled._replace(block=lambda start, stop: (
-            *sampled.block(start, stop)[:3], [seed] * (stop - start)))
+            sampled.block(start, stop)[0], [[seed] * (stop - start)]))
         q = math.isqrt(LIMITS["phase pairs"])
         table, avg = phase_protocol_table(q)
         for rows in [widest, phase_rows(q, table, avg, range(q * q))]:
