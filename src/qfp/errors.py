@@ -25,7 +25,9 @@ class ResourceLimitError(QfpError, RuntimeError):
 # for, checked by :func:`check` before the work starts
 LIMITS = {
     # k x trials rounded up to whole blocks (kernels.check_runs), times
-    # the points of a dark-count sweep; 2^30 noisy runs take ~30 s
+    # the points of a dark-count sweep: a time bound, since a run's memory
+    # does not grow with its trials; 2^30 noisy runs take ~30 s.  A sampled
+    # run with a report draws its trials twice, once more for the rows
     "runs": 1 << 30,
     # dark probabilities of one sweep: each adds (points x block) arrays
     # to every kernel block; 2^8 points peak near 58 MB

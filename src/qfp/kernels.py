@@ -8,8 +8,8 @@ the per-draw work is comparisons and integer arithmetic.  The two
 exhaustive scans (minimum codeword weight, SMP strategy search) return
 exactly what a plain enumeration of their whole search space returns,
 the SMP witness included.  ``perfbench/`` times each kernel in CLI runs
-but :func:`noise_verdicts`: a generator, whose call returns before its
-first draw.
+but :func:`noise_verdicts`, a generator whose call returns before its
+first draw, and :func:`click_block`, a report's second draw of a batch.
 
 Stream contract
 ---------------
@@ -40,10 +40,10 @@ Block contract
 The batch samplers work through their trials in blocks of at most
 ``_TRIAL_BLOCK``.  Block ``[a, b)`` derives its own substream seeds,
 outputs ``a + 1 .. b`` of the master stream, and takes every draw of those
-trials; :func:`click_counts` writes the results into ``out[a:b]`` and
+trials; :func:`click_counts` tallies the results and
 :func:`noise_verdicts` yields them.  No block reads another block's state,
-so the results are bit-identical for every block size, and memory beyond
-the result array is O(block), whatever the trial count.
+so the results are bit-identical for every block size, and memory is
+O(block), whatever the trial count.
 """
 
 from __future__ import annotations
@@ -161,22 +161,37 @@ def _add_clicks(seeds: np.ndarray, cut: int, k: int, out: np.ndarray) -> None:
         out += draws.at_least(j, [cut])[0]
 
 
-def click_counts(c: float, k: int, trials: int, master_seed: int,
-                 dtype=np.int64) -> np.ndarray:
-    """Per-trial count of the ``k`` draws that click N.
+def click_counts(c: float, k: int, trials: int,
+                 master_seed: int) -> np.ndarray:
+    """Tally of ``trials`` protocols by N-click count: entry ``j`` of the
+    ``k + 1`` counts the trials with ``j`` of their ``k`` draws clicking N.
 
     A draw clicks N iff its uniform ``u >= c``: ``c`` is the E-port
     probability of one run, so this is one comparison per draw of the raw
     output with the cut of ``c``.  With ``c >= 1`` no draw clicks N, which
-    keeps one-sided error exact for a pair with no N-port mass.  Counts
-    are stored in ``dtype``, which must hold ``k``; each block is written
-    straight into it.
+    keeps one-sided error exact for a pair with no N-port mass.  Each
+    block's counts go into one reused buffer and are tallied there.
     """
     cut = _u01_cut(c)
-    counts = np.zeros(trials, dtype=dtype)
-    for start, seeds in _trial_blocks(master_seed, trials):
-        _add_clicks(seeds, cut, k, counts[start:start + seeds.shape[0]])
-    return counts
+    tally = np.zeros(k + 1, dtype=np.int64)
+    counts = np.empty(min(trials, _TRIAL_BLOCK), dtype=np.min_scalar_type(k))
+    for _, seeds in _trial_blocks(master_seed, trials):
+        block = counts[:seeds.shape[0]]
+        block.fill(0)
+        _add_clicks(seeds, cut, k, block)
+        tally += np.bincount(block, minlength=k + 1)
+    return tally
+
+
+def click_block(c: float, k: int, trials: int, master_seed: int,
+                start: int) -> tuple[np.ndarray, np.ndarray]:
+    """N-click counts and substream seeds of the kernel block of a batch's
+    trials from ``start``, as :func:`click_counts` draws them."""
+    seeds = splitmix64_stream(
+        master_seed, min(trials, start + _TRIAL_BLOCK) - start, start)
+    counts = np.zeros(seeds.shape, dtype=np.min_scalar_type(k))
+    _add_clicks(seeds, _u01_cut(c), k, counts)
+    return counts, seeds
 
 
 def replay_click_count(c: float, k: int, seed: int) -> int:

@@ -85,20 +85,23 @@ class RunResult(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class BatchResult:
-    """Outcome of many independently seeded sampled protocols."""
+    """Outcome of many independently seeded sampled protocols: entry j of
+    the tally counts the trials with j N clicks, and the threshold ``c``
+    and the master seed draw every trial again."""
 
     pn_exact: float
+    c: float
     k: int
     master_seed: int
-    n_clicks: np.ndarray
+    tally: np.ndarray
 
     @property
     def trials(self) -> int:
-        return int(self.n_clicks.shape[0])
+        return int(self.tally.sum())
 
     @property
     def n_not_equal(self) -> int:
-        return int(np.count_nonzero(self.n_clicks))
+        return self.trials - int(self.tally[0])
 
     @property
     def not_equal_fraction(self) -> float:
@@ -123,7 +126,7 @@ def _port_table(code: Code, x, y) -> tuple[np.ndarray, np.ndarray]:
 # modes gathered at once, per leaf of pN's sum and per step of the
 # threshold's: at least numpy's pairwise block of 128 values, so no leaf
 # splits a range that numpy sums in one piece
-_PN_LEAF = 1 << 16
+_PN_LEAF = 1 << 12
 
 
 def _pairwise_sum(values: np.ndarray, index: np.ndarray) -> float:
@@ -182,17 +185,16 @@ def run_batch(params: ProtocolParams, x, y, master_seed: int,
 
     Trial i uses the substream seeded with output i + 1 of the master
     stream; ``run_sampled`` with that seed replays the trial.  Only the
-    N-click counts are stored, in the smallest unsigned type that holds k;
-    the seeds are derived again whenever they are read.  More runs than
-    ``errors.LIMITS["runs"]`` raise ``ResourceLimitError`` first.
+    k + 1 entries of the N-click tally are kept, so memory does not grow
+    with ``trials``; :func:`batch_rows` draws the trials again.  More runs
+    than ``errors.LIMITS["runs"]`` raise ``ResourceLimitError`` first.
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     kernels.check_runs(params.k, trials)
     pn, c = _sampling_inputs(params.code, x, y)
-    counts = kernels.click_counts(c, params.k, trials, master_seed,
-                                  dtype=np.min_scalar_type(params.k))
-    return BatchResult(pn, params.k, int(master_seed) & (2**64 - 1), counts)
+    return BatchResult(pn, c, params.k, int(master_seed) & (2**64 - 1),
+                       kernels.click_counts(c, params.k, trials, master_seed))
 
 
 def repetitions_needed(nu: float, epsilon: float) -> int:
@@ -314,13 +316,22 @@ def exact_report_row(code: Code, x, y) -> dict:
 def batch_rows(params: ProtocolParams, x, y,
                batch: BatchResult) -> reports.Rows:
     """Report rows of a batch, one per trial, replayable from its seed:
-    keyed by N-click count, which gives the verdict too, seed last."""
+    keyed by N-click count, which gives the verdict too, seed last.  The
+    trials are drawn again a kernel block at a time, each block's seeds
+    derived once, and each block of rows is sliced from the last drawn."""
     def cells(count):
         return [(Verdict.NOT_EQUAL if count else Verdict.EQUAL).value, count]
 
+    first, counts, seeds = 0, [], []  # the trials drawn last
+
     def block(start, stop):
-        return batch.n_clicks[start:stop].tolist(), [kernels.splitmix64_stream(
-            batch.master_seed, stop - start, start).tolist()]
+        nonlocal first, counts, seeds
+        if not first <= start <= stop <= first + len(seeds):
+            first = start
+            counts, seeds = kernels.click_block(
+                batch.c, batch.k, batch.trials, batch.master_seed, start)
+        rows = slice(start - first, stop - first)
+        return counts[rows].tolist(), [seeds[rows].tolist()]
 
     return reports.Rows(_run_row(params.code, params.k, x, y, batch.pn_exact,
                                  *[reports.SLOT] * 3), batch.trials, cells,

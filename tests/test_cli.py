@@ -873,6 +873,14 @@ class TestWorkBudget:
         rc, _, _ = run_child(_sampled((1 << 20) + 1, 1), tmp_path)
         assert rc == 0
 
+    def test_run_without_reports_is_flat_in_trials(self, tmp_path):
+        # 2^26 one-run trials keep a two-entry tally, no count per trial
+        rc, _, peak_mb = run_child(
+            ["run", "--code", "hadamard", "--n", "4", "--x", "0110",
+             "--y", "1011", "--k", "1", "--trials", str(1 << 26)], tmp_path)
+        assert rc == 0
+        assert peak_mb < 40
+
 
 class TestConfigFiles:
     def test_config_supplies_defaults_flags_win(self, tmp_path):

@@ -237,6 +237,21 @@ class TestCodeFiles:
         save_code(back, path)
         assert path.read_text() == first
 
+    @pytest.mark.parametrize("code", [
+        hadamard_code(3),
+        random_linear_code(4, 10, seed=5),
+    ], ids=lambda c: c.kind.value)
+    def test_crlf_file_loads_as_lf(self, code, tmp_path):
+        # a file with CRLF line ends loads as the same code
+        lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+        save_code(code, lf)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert b"\r\n" in crlf.read_bytes()
+        back = load_code(crlf)
+        assert (back.n, back.m, back.t, back.kind) == (code.n, code.m,
+                                                       code.t, code.kind)
+        assert np.array_equal(back.generator, load_code(lf).generator)
+
     def test_bytes_path_saved_in_place(self, tmp_path):
         # a bytes path names the same file, its temp file renamed onto it
         save_code(repetition_code(2, 2), os.fsencode(tmp_path / "code.txt"))

@@ -181,13 +181,27 @@ def _reference_click_counts(probs, k, trials, master_seed):
                     dtype=np.int64)
 
 
+def _trial_counts(c, k, trials, master_seed):
+    """Per-trial N-click counts of a batch, in one span of the kernel."""
+    counts, seeds = kernels.click_block(c, k, trials, master_seed, 0)
+    assert np.array_equal(seeds,
+                          kernels.splitmix64_stream(master_seed, trials))
+    return counts
+
+
+def _tally(counts, k):
+    return np.bincount(counts, minlength=k + 1)
+
+
 class TestClickCounts:
     def test_golden_bytes(self):
-        counts = kernels.click_counts(_threshold([0.1, 0.4, 0.3, 0.2]), 9,
-                                      1000, 77)
-        assert counts.dtype == np.int64
+        c = _threshold([0.1, 0.4, 0.3, 0.2])
+        counts = _trial_counts(c, 9, 1000, 77).astype(np.int64)
         assert _sha256(counts) == ("f9b0d252b83aec3f7a3a4602abc7d242"
                                    "8c8b15c68914f2b5a5d6e63605264e78")
+        tally = kernels.click_counts(c, 9, 1000, 77)
+        assert tally.dtype == np.int64
+        assert np.array_equal(tally, _tally(counts, 9))
 
     def test_single_trial_replay(self):
         # each trial replayed from its substream seed alone, against the
@@ -205,14 +219,14 @@ class TestClickCounts:
 
     def test_zero_mass_outcomes_unreachable(self):
         probs = np.array([0.5, 0.5, 0.0, 0.0])
-        counts = kernels.click_counts(_threshold(probs), 20, 2_000, 5)
-        assert counts.max() == 0
+        tally = kernels.click_counts(_threshold(probs), 20, 2_000, 5)
+        assert tally.tolist() == [2_000] + [0] * 20
 
     def test_distribution_sanity(self):
         # single draw per trial, pN = 0.25: frequency within 5 sigma
         probs = np.array([0.375, 0.375, 0.125, 0.125])
-        counts = kernels.click_counts(_threshold(probs), 1, 40_000, 99)
-        freq = counts.mean()
+        tally = kernels.click_counts(_threshold(probs), 1, 40_000, 99)
+        freq = tally[1] / 40_000
         sigma = math.sqrt(0.25 * 0.75 / 40_000)
         assert abs(freq - 0.25) < 5 * sigma
 
@@ -230,9 +244,12 @@ class TestClickCounts:
     @pytest.mark.parametrize("seed", [0, 9, 2**64 - 1])
     def test_matches_bisecting_reference(self, probs, seed):
         probs = np.asarray(probs, dtype=np.float64)
-        got = kernels.click_counts(_threshold(probs), 7, 3_000, seed)
-        assert np.array_equal(got, _reference_click_counts(probs, 7, 3_000,
-                                                           seed))
+        want = _reference_click_counts(probs, 7, 3_000, seed)
+        assert np.array_equal(
+            _trial_counts(_threshold(probs), 7, 3_000, seed), want)
+        assert np.array_equal(
+            kernels.click_counts(_threshold(probs), 7, 3_000, seed),
+            _tally(want, 7))
 
 
 def binomial_cdf(n: int, p: float) -> np.ndarray:
@@ -380,9 +397,17 @@ class TestBlockedTrials:
                                        [0.5, 0.5, 0.0, 0.0]])
     def test_click_counts(self, trial_block, probs):
         probs = np.asarray(probs)
+        want = _reference_click_counts(probs, 6, BLOCK_TRIALS, 31)
         assert np.array_equal(
             kernels.click_counts(_threshold(probs), 6, BLOCK_TRIALS, 31),
-            _reference_click_counts(probs, 6, BLOCK_TRIALS, 31))
+            _tally(want, 6))
+        # a kernel block drawn from any trial, none past the last
+        for start in [0, 3, BLOCK_TRIALS - 1]:
+            counts, seeds = kernels.click_block(
+                _threshold(probs), 6, BLOCK_TRIALS, 31, start)
+            assert len(seeds) == min(BLOCK_TRIALS,
+                                     start + trial_block) - start
+            assert np.array_equal(counts, want[start:start + len(seeds)])
 
     @pytest.mark.parametrize("slots,p", [(0, 0.0), (3, 0.3), (1000, 1e-4)])
     def test_noise_verdicts(self, trial_block, slots, p):
@@ -428,9 +453,9 @@ class TestBlockedTrials:
     def test_click_counts_every_draw_clicks(self, trial_block, probs):
         probs = np.asarray(probs)
         got = kernels.click_counts(_threshold(probs), 6, BLOCK_TRIALS, 31)
-        assert np.all(got == 6)
-        assert np.array_equal(
-            got, _reference_click_counts(probs, 6, BLOCK_TRIALS, 31))
+        assert got.tolist() == [0] * 6 + [BLOCK_TRIALS]
+        assert np.array_equal(got, _tally(
+            _reference_click_counts(probs, 6, BLOCK_TRIALS, 31), 6))
 
     @pytest.mark.parametrize("k", [3, 255, 256])
     @pytest.mark.parametrize("code,x,y", [
@@ -438,15 +463,15 @@ class TestBlockedTrials:
         (identity_code(1), "0", "1"),  # pN = 1: every trial counts k
     ])
     def test_run_batch_counts(self, trial_block, k, code, x, y):
-        # stored in the smallest type that holds k, equal to the int64
-        # kernel counts; no seeds are stored
+        # the kernel's k + 1 tally and what draws the trials again; no
+        # per-trial count or seed is stored
         batch = run_batch(ProtocolParams(code.n, code, k, 0.01), x, y,
                           master_seed=5, trials=BLOCK_TRIALS)
         c = _threshold(_port_probs(code, x, y))
-        assert batch.n_clicks.dtype == np.min_scalar_type(k)
+        assert batch.tally.shape == (k + 1,)
         assert np.array_equal(
-            batch.n_clicks, kernels.click_counts(c, k, BLOCK_TRIALS, 5))
-        assert batch.master_seed == 5
+            batch.tally, kernels.click_counts(c, k, BLOCK_TRIALS, 5))
+        assert (batch.c, batch.k, batch.master_seed) == (c, k, 5)
 
 
 def _reference_min_weight(gen):

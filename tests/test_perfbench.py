@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import qfp
-from qfp import ProtocolParams, hadamard_code, kernels, run_batch
+from qfp import ProtocolParams, batch_rows, hadamard_code, run_batch
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SRC = Path(qfp.__file__).resolve().parents[1]
@@ -81,9 +81,10 @@ def test_tracer_absent_names_are_pinned(tmp_path):
 def test_workload_replay_is_the_batch_trial(monkeypatch):
     workloads = _workloads(monkeypatch)
     assert workloads.K == K and workloads.SAMPLED_N == 4
-    code = hadamard_code(4)
-    batch = run_batch(ProtocolParams(4, code, K, 0.01), X, Y, SEED, 64)
-    seeds = kernels.splitmix64_stream(SEED, 64).tolist()
-    for clicks, seed in zip(batch.n_clicks.tolist(), seeds):
+    params = ProtocolParams(4, hadamard_code(4), K, 0.01)
+    # each trial's count and seed, as the batch's report rows give them
+    counts, [seeds] = batch_rows(params, X, Y,
+                                 run_batch(params, X, Y, SEED, 64)).block(0, 64)
+    for clicks, seed in zip(counts, seeds):
         verdict = "NotEqual" if clicks else "Equal"
         assert workloads.replay(X, Y, seed) == (verdict, clicks)

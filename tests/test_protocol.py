@@ -192,7 +192,7 @@ class TestPairwiseSum:
     installed numpy, so a numpy that sums in another order fails here
     before it fails a golden."""
 
-    @pytest.mark.parametrize("leaf", [128, 1 << 16])
+    @pytest.mark.parametrize("leaf", [128, 1 << 12, 1 << 16])
     @pytest.mark.parametrize("length", PAIRWISE_LENGTHS)
     def test_equals_numpy_sum(self, monkeypatch, leaf, length):
         monkeypatch.setattr(protocol, "_PN_LEAF", leaf)
@@ -293,10 +293,34 @@ class TestRunBatch:
         code = hadamard_code(4)
         params = ProtocolParams(4, code, 6, 0.01)
         batch = run_batch(params, "0000", "0111", master_seed=5, trials=25)
-        seeds = kernels.splitmix64_stream(5, 25)
-        for i in range(25):
-            single = run_sampled(params, "0000", "0111", int(seeds[i]))
-            assert single.n_clicks_not_equal == int(batch.n_clicks[i])
+        clicks = [run_sampled(params, "0000", "0111", seed).n_clicks_not_equal
+                  for seed in kernels.splitmix64_stream(5, 25).tolist()]
+        assert np.array_equal(batch.tally, np.bincount(clicks, minlength=7))
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(1, 300), trials=st.integers(1, 3 * 4),
+           c=st.floats(0.0, 1.0), seed=st.integers(0, 2**64 - 1),
+           row_block=st.sampled_from([1, 2, 4]))
+    @example(k=300, trials=9, c=0.05, seed=2**64 - 1, row_block=2)
+    def test_tally_agrees_with_replay(self, k, trials, c, seed, row_block):
+        # 1..3 kernel blocks of 4 trials; counts pass 255 when c is small.
+        # The report draws the trials again, in row blocks that divide a
+        # kernel block
+        clicks = [kernels.replay_click_count(c, k, s) for s
+                  in kernels.splitmix64_stream(seed, trials).tolist()]
+        code = hadamard_code(4)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "_TRIAL_BLOCK", 4)
+            patch.setattr(reports, "_ROW_BLOCK", row_block)
+            tally = kernels.click_counts(c, k, trials, seed)
+            assert np.array_equal(tally, np.bincount(clicks, minlength=k + 1))
+            text = "".join(chunk for [chunk] in reports.chunks(
+                {"rows": batch_rows(ProtocolParams(4, code, k, 0.01), "0000",
+                                    "0110", BatchResult(0.5, c, k, seed,
+                                                        tally))},
+                True, False))
+        rows = csv.DictReader(io.StringIO(text))
+        assert [int(row["n_clicks_N"]) for row in rows] == clicks
 
     def test_not_equal_frequency_within_3_sigma(self):
         code = hadamard_code(4)
@@ -491,15 +515,21 @@ class TestReportRows:
             assert replay.verdict.value == row["verdict"]
 
 
-def _dict_rows(params, x, y, batch):
-    """One report row per trial, built directly from the batch arrays."""
+def _replayed(batch):
+    """Each trial's N-click count, replayed from its seed alone."""
+    return [kernels.replay_click_count(batch.c, batch.k, seed) for seed
+            in kernels.splitmix64_stream(batch.master_seed, batch.trials)]
+
+
+def _dict_rows(params, x, y, batch, clicks):
+    """One report row per trial, built directly from per-trial counts."""
     return [{
         "n": params.code.n, "m": params.code.m, "t": params.code.t,
         "k": params.k, "x_hex": bits_to_hex(x), "y_hex": bits_to_hex(y),
         "pN_exact": batch.pn_exact,
         "verdict": "NotEqual" if clicks else "Equal",
         "n_clicks_N": int(clicks), "seed": int(seed),
-    } for clicks, seed in zip(batch.n_clicks, kernels.splitmix64_stream(
+    } for clicks, seed in zip(clicks, kernels.splitmix64_stream(
         batch.master_seed, batch.trials))]
 
 
@@ -535,7 +565,7 @@ class TestStreamedReports:
         monkeypatch.setattr(reports, "_ROW_BLOCK", block)
         params = ProtocolParams(code.n, code, 3, 0.01)
         batch = run_batch(params, x, y, master_seed=trials, trials=trials)
-        rows = _dict_rows(params, x, y, batch)
+        rows = _dict_rows(params, x, y, batch, _replayed(batch))
         payload = {"command": "run", "mode": "sampled", "trials": trials}
         assert _rendered(payload, batch_rows(params, x, y, batch)) == (
             reports.csv_text(RUN_CSV_FIELDS, rows),
@@ -543,19 +573,22 @@ class TestStreamedReports:
 
     @pytest.mark.parametrize("block", [2, 1 << 12])
     def test_huge_k_renders_only_counts_that_occur(self, monkeypatch, block):
-        # counts up to k = 2^40 in a batch built directly: the per-count
-        # row prefixes cover the counts present, never 0..k
+        # counts up to k = 2^40, fed through the rows' block by hand: the
+        # per-count row prefixes cover the counts present, never 0..k
         monkeypatch.setattr(reports, "_ROW_BLOCK", block)
         k = 2**40
         code = hadamard_code(4)
         params = ProtocolParams(code.n, code, k, 0.01)
-        clicks = np.array([0, k, k - 1, 5, 0, k, 1, k], dtype=np.uint64)
-        batch = BatchResult(0.5, k, 2**64 - 3, clicks)
-        rows = _dict_rows(params, "0000", "0110", batch)
+        clicks = [0, k, k - 1, 5, 0, k, 1, k]
+        batch = BatchResult(0.5, 0.5, k, 2**64 - 3, np.array([len(clicks)]))
+        rows = _dict_rows(params, "0000", "0110", batch, clicks)
+        seeds = kernels.splitmix64_stream(batch.master_seed, len(clicks))
+        sampled = batch_rows(params, "0000", "0110", batch)._replace(
+            block=lambda start, stop: (clicks[start:stop],
+                                       [seeds[start:stop].tolist()]))
         payload = {"command": "run", "mode": "sampled", "k": k}
         start = time.perf_counter()
-        csv_text, json_text = _rendered(
-            payload, batch_rows(params, "0000", "0110", batch))
+        csv_text, json_text = _rendered(payload, sampled)
         assert time.perf_counter() - start < 1.0
         assert csv_text == reports.csv_text(RUN_CSV_FIELDS, rows)
         assert json_text == reports.json_text({**payload, "rows": rows})
@@ -604,13 +637,15 @@ class TestStreamedReports:
         # the widest sampled row an admitted code renders (Hadamard n = 20,
         # k = 65536, every seed 2^64 - 1) and the largest phase table: no
         # chunk of either file reaches glibc's default 128 KiB mmap
-        # threshold, so a block's memory does not depend on heap layout
+        # threshold, so a block's memory does not depend on heap layout.
+        # At c = 0 every draw clicks N, so every trial counts k.
         code, k, seed = hadamard_code(20), 65536, 2**64 - 1
         params = ProtocolParams(code.n, code, k, 0.01)
-        clicks = np.full(3 * reports._ROW_BLOCK, k, dtype=np.uint32)
+        tally = np.zeros(k + 1, dtype=np.int64)
+        tally[k] = 3 * reports._ROW_BLOCK
         sampled = batch_rows(params, "1" * 20, "0" * 19 + "1",
-                             BatchResult(2.2250738585072014e-308, k, seed,
-                                         clicks))
+                             BatchResult(2.2250738585072014e-308, 0.0, k,
+                                         seed, tally))
         widest = sampled._replace(block=lambda start, stop: (
             sampled.block(start, stop)[0], [[seed] * (stop - start)]))
         q = math.isqrt(LIMITS["phase pairs"])
