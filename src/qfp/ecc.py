@@ -3,9 +3,9 @@
 The fingerprinting protocol only ever encodes, so this module carries no
 decoders.  Code families are desk-scale stand-ins chosen so their minimum
 distance is either analytic (identity, repetition, Hadamard) or cheap to
-certify exhaustively (random linear, n <= 20).  The asymptotic rate /
-distance trade-off of Justesen-style constructions enters only through
-:func:`justesen_nu`.
+certify exhaustively (random linear, 2^n x ceil(m / 64) <= 2^30).  The
+asymptotic rate / distance trade-off of Justesen-style constructions
+enters only through :func:`justesen_nu`.
 """
 
 from __future__ import annotations
@@ -79,7 +79,9 @@ class Code:
         return self._generator
 
     def row(self, i: int) -> np.ndarray:
-        """Row ``i`` of the generator, without building the others."""
+        """Row ``i``: the stored generator's read-only row, else computed."""
+        if self._generator is not None:
+            return self._generator[i]
         word = np.zeros(self.m, dtype=np.uint8)
         self._xor_row(i, word)
         return word
@@ -191,15 +193,15 @@ def random_linear_code(n: int, m: int, seed: int) -> Code:
     as one 64-bit word per 64 generator entries, row-major, least
     significant bit first.  The declared distance is certified by
     :func:`min_distance_bruteforce`, so construction is refused past the
-    oracle's budget entries.
+    oracle's budget entry, ``oracle word steps``.
     """
     if n < 1 or m < 1:
         raise DomainError("n and m must be >= 1")
     check("generator entries", n, m)
     kernels.check_oracle(n, m)  # before the stream is drawn and unpacked
-    words_per_row = (m + 63) // 64
-    words = kernels.splitmix64_stream(seed, n * words_per_row)
-    gen = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8)
+    # the stream is a temporary, freed before the oracle packs the bits
+    gen = np.unpackbits(kernels.splitmix64_stream(seed, n * ((m + 63) // 64))
+                        .astype("<u8", copy=False).view(np.uint8)
                         .reshape(n, -1), axis=1, count=m, bitorder="little")
     return Code(n, m, kernels.min_nonzero_weight(gen),
                 CodeKind.RANDOM_LINEAR, gen)
@@ -228,7 +230,9 @@ def justesen_nu(mu: float) -> float:
 
 # --- plain-text code files -------------------------------------------------
 #
-# Header line "n m t kind", then n generator rows as 0/1 strings.
+# Header line "n m t kind", then n generator rows as 0/1 strings, which
+# are written, and dropped past their length, _PIECE characters at a time
+_PIECE = 1 << 16
 
 def _is_path(file) -> bool:
     return isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")
@@ -238,15 +242,18 @@ def save_code(code: Code, dest) -> None:
     """Write ``code`` to an open text file, or to a path through a temp
     file and a rename (:func:`reports.write`), so a failed write leaves
     the old file."""
-    def lines():  # one line per chunk, none kept after its write
+    def pieces():  # one per chunk, none kept after its write
         yield [f"{code.n} {code.m} {code.t} {code.kind.value}\n"]
         for i in range(code.n):
-            yield [bits_to_string(code.row(i)) + "\n"]
+            row = code.row(i)
+            for start in range(0, code.m, _PIECE):
+                yield [bits_to_string(row[start:start + _PIECE])]
+            yield ["\n"]
 
     if _is_path(dest):
-        reports.write([dest], lines())
+        reports.write([dest], pieces())
     else:  # a caller's file stays open
-        dest.writelines(line for [line] in lines())
+        dest.writelines(piece for [piece] in pieces())
 
 
 def load_code(src) -> Code:
@@ -262,13 +269,13 @@ def _next_line(fh, size: int) -> str | None:
     """The next non-blank line without its newline, None at the end.
 
     At most ``size + 1`` characters of a line are kept; the rest of a
-    longer line is read and dropped 2^16 characters at a time, so no line
+    longer line is read and dropped ``_PIECE`` at a time, so no line
     is held whole, and it is blank only if every piece is whitespace.
     """
     while line := fh.readline(size + 1):
         blank, piece = not line.strip(), line
         while piece and not piece.endswith("\n"):
-            piece = fh.readline(1 << 16)
+            piece = fh.readline(_PIECE)
             blank = blank and not piece.strip()
         if not blank:
             return line.rstrip("\n")

@@ -38,14 +38,10 @@ LIMITS = {
     # file's as soon as its header parses) even where its generator is
     # computed from a formula: the largest Hadamard code (n = 20)
     "generator entries": 20 << 20,
-    # 2^n, enumerated by the distance oracle.  The word steps alone do
-    # not bound narrow codes: a 30 x 64 generator is 2^30 word steps too,
-    # but takes ~7-11 s, as each of its 2^15 blocks of one hi value
-    # rebuilds both xor spans (n = 26: ~0.3 s, n = 28: ~1.2 s)
-    "oracle messages": 1 << 20,
-    # 2^n x ceil(m / 64) tallied weight words: n = 20, m = 65536 takes
-    # ~3 s; the widest admitted generators peak near 56 MB (n = 10,
-    # m = 2,000,000) and 52 MB (n = 16, m = 2^20)
+    # 2^n x ceil(m / 64) weight words the distance oracle tallies, its
+    # only entry: n = 30, m = 64 takes ~1.5 s and n = 20, m = 65536 ~2 s;
+    # the widest admitted generators export near 53 MB (n = 10,
+    # m = 2,000,000) and 50 MB (n = 16, m = 2^20)
     "oracle word steps": 1 << 30,
     "SMP scored pairs": 10**8,  # strategies x q^2 input pairs
     # sampled trials written by --out or --json: 2^20 take ~1 s at a

@@ -287,55 +287,50 @@ def noise_verdicts(p_zero: float, p_one: float, p_survive: float,
 # GF(2) minimum nonzero codeword weight
 # ---------------------------------------------------------------------------
 
-# message weights tallied per step: one block's 64-bit ``hi ^ lo`` words
-# take 256 KiB, so the oracle's temporaries stay near 0.3 MB
-_WEIGHT_BLOCK = 1 << 15
-
-
-def _xor_span(words: np.ndarray) -> np.ndarray:
-    # entry c is the XOR of the words selected by the bits of c
-    span = np.zeros(1 << words.shape[0], dtype=np.uint64)
-    for i, word in enumerate(words):
-        span[1 << i:2 << i] = span[:1 << i] ^ word
-    return span
+# the most 64-bit words in the oracle's held span of low-message
+# codewords (128 KiB); a step's bit counts take an eighth of that
+_WEIGHT_BLOCK = 1 << 14
 
 
 def check_oracle(n: int, m: int) -> None:
     """Charge the distance oracle of an n x m generator to the budget."""
-    check("oracle messages", (2, n))
     check("oracle word steps", (2, n), (m + 63) // 64)
 
 
 def min_nonzero_weight(generator: np.ndarray) -> int:
     """Minimum Hamming weight over all 2^n - 1 nonzero messages.
 
-    Meet in the middle: message ``hi * 2^h + lo`` (h = n // 2) encodes to
-    the XOR of the span entries ``lo`` of the low h rows and ``hi`` of the
-    high rows.  Weights are tallied one 64-column word at a time for a
-    block of ``hi`` values, in the smallest unsigned type that holds
-    m + 1, so memory is flat in the code length, and only the zero message
-    (``hi = lo = 0``) is skipped.
+    Each row is packed into W = ceil(m / 64) 64-bit words.  The codewords
+    of the 2^b low messages, b the most rows whose span fits in
+    ``_WEIGHT_BLOCK`` words, are built once into one held span, entry c
+    the XOR of the rows selected by the bits of c.  The 2^(n - b) high
+    messages are then walked in Gray order: step s XORs row ``b + ctz(s)``
+    into every entry, so the span holds the messages whose high part is
+    the Gray code of s, and tallies their weights in the smallest unsigned
+    type that holds m + 1.  Memory is flat in n, and only the zero message
+    (step 0, entry 0) is skipped.
     """
     g = np.asarray(generator, dtype=np.uint8)
     if g.ndim != 2:
         raise ValueError("generator must be a 2-d bit matrix")
     n, m = g.shape
     check_oracle(n, m)
-    packed = np.zeros((n, 8 * ((m + 63) // 64)), dtype=np.uint8)
+    w = (m + 63) // 64
+    packed = np.zeros((n, 8 * w), dtype=np.uint8)
     packed[:, :(m + 7) // 8] = np.packbits(g, axis=1, bitorder="little")
-    columns = packed.view("<u8").T  # one row of n words per 64 code columns
-    h = n // 2
-    block = min(max(1, _WEIGHT_BLOCK >> h), 1 << (n - h))
+    rows = packed.view("<u8")
+    b = min(n, max(0, (_WEIGHT_BLOCK // max(w, 1)).bit_length() - 1))
+    span = np.zeros((1 << b, w), dtype=np.uint64)
+    for i in range(b):
+        span[1 << i:2 << i] = span[:1 << i] ^ rows[i]
+    tally = np.min_scalar_type(m + 1)
     best = m + 1
-    tally = np.min_scalar_type(best)
-    for start in range(0, 1 << (n - h), block):
-        weights = np.zeros((block, 1 << h), dtype=tally)
-        for words in columns:
-            hi = _xor_span(words[h:])[start:start + block]
-            weights += np.bitwise_count(hi[:, None] ^ _xor_span(words[:h]))
-        if start == 0:
-            weights[0, 0] = m + 1  # the zero message
-        best = min(best, int(weights.min()))
+    for s in range(1 << (n - b)):
+        if s:
+            span ^= rows[b + (s & -s).bit_length() - 1]
+        weights = np.bitwise_count(span).sum(axis=1, dtype=tally)
+        # entry 0 of step 0 is the zero message
+        best = int(weights[not s:].min(initial=best))
     return best
 
 

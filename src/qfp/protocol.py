@@ -67,8 +67,9 @@ class ProtocolParams:
 
     @classmethod
     def for_error_target(cls, code: Code, epsilon: float) -> "ProtocolParams":
-        """Pick k so the miss probability bound reaches ``epsilon``."""
-        k = repetitions_needed(code.t / code.m, epsilon)
+        """Pick k so the miss bound (1 - t/m)^k reaches ``epsilon``."""
+        k = (1 if code.t == code.m
+             else repetitions_needed(code.t / code.m, epsilon))
         return cls(code.n, code, k, epsilon)
 
 

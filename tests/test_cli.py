@@ -452,6 +452,15 @@ class TestRunCommand:
         assert "k = 7" in out  # (1/2)^7 <= 0.01
         assert "master_seed = 0" in out
 
+    @pytest.mark.parametrize("code", [["identity", "--n", "1"],
+                                      ["repetition", "--n", "1", "--r", "3"]])
+    def test_relative_distance_one_needs_one_run(self, code, capsys):
+        # t = m: every unequal pair clicks N on every run
+        assert main(["run", "--code", *code, "--x", "0", "--y", "1",
+                     "--trials", "5", "--seed", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "k = 1: NotEqual fraction = 1.0" in out
+
     def test_code_file_input(self, tmp_path):
         code_path = tmp_path / "code.txt"
         assert main(["codes", "export", "--kind", "hadamard", "--n", "3",
@@ -753,6 +762,13 @@ class TestCodesCommand:
                                    tmp_path)
         assert rc == 0
         assert peak_mb < 62
+        # one row at the generator entries limit is written in pieces from
+        # the stored row, not held as text (~130 MB when it was)
+        rc, _, peak_mb = run_child(
+            ["codes", "export", "--kind", "random", "--n", "1",
+             "--m", str(20 << 20), "--out", "row.code"], tmp_path)
+        assert rc == 0
+        assert peak_mb < 62
 
     # a file of ``before``, a 16 MiB run of ``filler``, then ``after``
     @pytest.mark.parametrize("before,filler,after,rc,message", [
@@ -835,13 +851,12 @@ BUDGET_EDGES = {
          "--out", "c.txt"],
         ["codes", "export", "--kind", "repetition", "--n", "1",
          "--r", str((20 << 20) + 1), "--out", "c.txt"]),
-    # the largest generator the entries admit, refused before its stream
-    # is drawn: unpacked, it would take ~1.3 GB
-    "oracle messages": (_random_export(20, 64), _random_export(21, 1),
-                        _random_export(20 << 20, 1)),
-    # 2^20 x 1024 words, then 1025
-    "oracle word steps": (_random_export(20, 65536),
-                          _random_export(20, 65537)),
+    # 2^30 x 1 words, then 2^31 x 1 and 2^20 x 1025; the last is the
+    # largest generator the entries admit, refused before its stream is
+    # drawn: unpacked, it would take ~1.3 GB
+    "oracle word steps": (_random_export(30, 64), _random_export(31, 1),
+                          _random_export(20, 65537),
+                          _random_export(20 << 20, 1)),
     # 2 strategies x 7071^2 pairs, just under 10^8
     "SMP scored pairs": (_smp(7071), _smp(7072)),
     # 2^20 trials with both files; a run without them is not charged

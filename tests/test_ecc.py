@@ -111,8 +111,9 @@ class TestConstructors:
     def test_size_guards(self):
         with pytest.raises(ResourceLimitError):
             hadamard_code(21)
-        with pytest.raises(ResourceLimitError):
-            random_linear_code(21, 8, 0)
+        # 2^31 messages x 1 word
+        with pytest.raises(ResourceLimitError, match="oracle word steps"):
+            random_linear_code(31, 8, 0)
         # 2^20 messages x 1025 words, and x 16384 words (over 30 s of work)
         for m in (65537, 1 << 20):
             with pytest.raises(ResourceLimitError,

@@ -35,7 +35,7 @@ class TestCheck:
     def test_huge_powers_are_never_formed(self):
         # each would take longer than the test run to multiply out
         with pytest.raises(ResourceLimitError):
-            check("oracle messages", (2, 10**20))
+            check("oracle word steps", (2, 10**20))
         with pytest.raises(ResourceLimitError):
             check("SMP scored pairs", (10**20, 3), (2, 10**40))
         check("SMP scored pairs", (1, 10**20), (1, 10**20), (2, 1), 7071,

@@ -489,21 +489,27 @@ class TestMinWeight:
     # n = 1, odd n, m > 64 and m not a multiple of 64, several words
     @pytest.mark.parametrize("n,m", [(1, 7), (2, 3), (5, 9), (3, 130),
                                      (7, 64), (11, 200), (16, 40)])
-    def test_matches_direct_enumeration(self, n, m):
+    def test_matches_direct_enumeration(self, n, m, monkeypatch):
         rng = np.random.default_rng(n * 1000 + m)
         gen = rng.integers(0, 2, size=(n, m), dtype=np.uint8)
         weight = _reference_min_weight(gen)
-        assert kernels.min_nonzero_weight(gen) == weight
-        # a strided view whose hidden columns are all ones, and bools: the
-        # oracle packs what it is given, with no contiguous uint8 copy
         wide = np.ones((n, m + 67), dtype=np.uint8)
         wide[:, :m] = gen
-        assert kernels.min_nonzero_weight(wide[:, :m]) == weight
-        assert kernels.min_nonzero_weight(gen.astype(bool)) == weight
+        # a block of 1 word walks every row (b = 0), 16 splits the rows,
+        # and the default holds every shape here but (16, 40) in one span
+        # (b = n)
+        for block in (1, 16, kernels._WEIGHT_BLOCK):
+            monkeypatch.setattr(kernels, "_WEIGHT_BLOCK", block)
+            assert kernels.min_nonzero_weight(gen) == weight
+            # a strided view whose hidden columns are all ones, and bools:
+            # the oracle packs what it is given, with no contiguous copy
+            assert kernels.min_nonzero_weight(wide[:, :m]) == weight
+            assert kernels.min_nonzero_weight(gen.astype(bool)) == weight
 
     def test_blocked_scan(self, monkeypatch):
-        # one hi value per block; the minimum is the last row on its own,
-        # which only counts if the zero-message skip stays in block 0
+        # a span of 8 low messages; the minimum is the last row on its
+        # own, a high message, which only counts if the zero-message skip
+        # stays at step 0
         monkeypatch.setattr(kernels, "_WEIGHT_BLOCK", 16)
         rng = np.random.default_rng(9)
         gen = rng.integers(0, 2, size=(9, 70), dtype=np.uint8)
@@ -520,6 +526,16 @@ class TestMinWeight:
         gen[2, 0] = 1
         assert kernels.min_nonzero_weight(gen) == 1
 
+    def test_planted_codeword_past_enumeration(self):
+        # 2^24 messages, too many to enumerate directly: row 23 is rows 0,
+        # 3 and 20 XOR a weight-3 word, so that message has weight 3
+        rng = np.random.default_rng(24)
+        gen = rng.integers(0, 2, size=(24, 64), dtype=np.uint8)
+        planted = np.zeros(64, dtype=np.uint8)
+        planted[[5, 33, 63]] = 1
+        gen[23] = gen[0] ^ gen[3] ^ gen[20] ^ planted
+        assert kernels.min_nonzero_weight(gen) == 3
+
     def test_golden_random_codes(self):
         assert random_linear_code(16, 40, seed=1).t == 7
         assert random_linear_code(20, 64, seed=7).t == 11
@@ -529,8 +545,8 @@ class TestMinWeight:
             kernels.min_nonzero_weight(np.zeros(4, dtype=np.uint8))
 
     def test_size_cap(self):
-        with pytest.raises(ResourceLimitError, match="oracle messages"):
-            kernels.min_nonzero_weight(np.zeros((25, 4), dtype=np.uint8))
+        with pytest.raises(ResourceLimitError, match="oracle word steps"):
+            kernels.min_nonzero_weight(np.zeros((31, 4), dtype=np.uint8))
 
 
 def _reference_smp_search(q, a, b):

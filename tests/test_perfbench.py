@@ -55,15 +55,21 @@ def test_tracer_counts_sampled_and_exact_runs(tmp_path):
 
 
 def test_tracer_counts_certify_runs(tmp_path):
-    # the SMP search and the exact run of the certify workload
+    # the code export and verify, the SMP search and the exact run of the
+    # certify workload; the oracle's count reads its ``generator`` argument
     result = _trace(tmp_path, [
+        ["codes", "export", "--kind", "random", "--n", "20", "--m", "64",
+         "--out", "code.txt"],
+        ["codes", "verify", "--in", "code.txt"],
         ["classical", "--q", "4", "--alice", "3", "--bob", "3"],
         ["run", "--exact", "--code", "hadamard", "--n", "10",
          "--x", "1011001110", "--y", "0110110001"],
     ])
-    assert [inv["rc"] for inv in result["invocations"]] == [0, 0]
+    assert [inv["rc"] for inv in result["invocations"]] == [0, 0, 0, 0]
+    assert result["metrics"]["kernels.oracle_messages"] == 2 * (2**20 - 1)
     assert result["metrics"]["kernels.smp_strategies"] == 3359232
-    for function in ("kernels.smp_exhaustive_search", "protocol.run_exact"):
+    for function in ("kernels.min_nonzero_weight",
+                     "kernels.smp_exhaustive_search", "protocol.run_exact"):
         assert function not in result["missing"]
 
 
