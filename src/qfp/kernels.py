@@ -166,10 +166,10 @@ def click_counts(c: float, k: int, trials: int,
     """Tally of ``trials`` protocols by N-click count: entry ``j`` of the
     ``k + 1`` counts the trials with ``j`` of their ``k`` draws clicking N.
 
-    A draw clicks N iff its uniform ``u >= c``: ``c`` is the E-port
-    probability of one run, so this is one comparison per draw of the raw
-    output with the cut of ``c``.  With ``c >= 1`` no draw clicks N, which
-    keeps one-sided error exact for a pair with no N-port mass.  Each
+    A draw clicks N iff its uniform ``u >= c``: ``c`` is 1 - pN of one
+    run, so this is one comparison per draw of the raw output with the cut
+    of ``c``.  With ``c >= 1`` no draw clicks N, which keeps one-sided
+    error exact for a pair with no N-port mass (pN = 0, so c = 1).  Each
     block's counts go into one reused buffer and are tallied there.
     """
     cut = _u01_cut(c)
@@ -345,10 +345,12 @@ def min_nonzero_weight(generator: np.ndarray) -> int:
 #                       alice sent message i and bob sent message j
 
 # (alice map, bob map) pairs per step: a block's widest temporaries, one
-# int64 per pair and referee cell or input digit, take 144 KiB each at
-# q = 4 with 3 x 3 messages, and at most 256 KiB (q = 16, 2 x 1) over the
-# shapes the "SMP scored pairs" budget admits
-_PAIR_BLOCK = 1 << 11
+# int64 per pair and referee cell or input digit, take 72 KiB each at
+# q = 4 with 3 x 3 messages, and at most 128 KiB (q = 16, 2 x 1) over the
+# shapes the "SMP scored pairs" budget admits.  Under glibc's 128 KiB mmap
+# threshold the search's peak RSS does not depend on heap layout; at
+# 144 KiB it moved by 0.17 MB with the compiled text of other modules
+_PAIR_BLOCK = 1 << 10
 
 
 def _digits(index: np.ndarray, base: int, q: int) -> np.ndarray:
@@ -361,11 +363,11 @@ def decode_strategy(q: int, alice_msgs: int, bob_msgs: int, alice_index: int,
     """The strategy encoded as above: Alice's and Bob's message maps, as
     tuples of q messages, and the referee's (alice_msgs x bob_msgs) table,
     True where it answers Equal."""
-    alice = _digits(np.array([alice_index]), alice_msgs, q)[0]
-    bob = _digits(np.array([bob_index]), bob_msgs, q)[0]
-    cell = np.arange(alice_msgs * bob_msgs).reshape(alice_msgs, bob_msgs)
-    return (tuple(alice.tolist()), tuple(bob.tolist()),
-            ((referee_mask >> cell) & 1 == 1).tolist())
+    a, b = alice_msgs, bob_msgs
+    return (tuple(alice_index // a**x % a for x in range(q)),
+            tuple(bob_index // b**y % b for y in range(q)),
+            [[referee_mask >> (i * b + j) & 1 == 1 for j in range(b)]
+             for i in range(a)])
 
 
 def smp_exhaustive_search(q: int, alice_msgs: int,

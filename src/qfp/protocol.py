@@ -11,10 +11,10 @@ below (1 - t/m)^k.
 
 Mode i's port amplitudes depend only on the bit pair (e(x)_i, e(y)_i), so
 the code protocols evaluate :func:`qfp.modes.interferometer` once per bit
-pair and read the result per mode; no ``(2, m)`` state is built, and a
-sampled run keeps only pN and the E-port total c (a run clicks N iff its
-uniform u >= c).  pN is summed leaf by leaf in numpy's pairwise order,
-with no m-float gather.
+pair and read the result per mode; no ``(2, m)`` state is built.  pN is
+summed leaf by leaf in numpy's pairwise order, with no m-float gather,
+and a sampled run draws against it alone: a run clicks N iff its uniform
+u >= 1 - pN, which equal inputs (pN = 0, threshold 1) never reach.
 
 Small-alphabet variants (one symbol, one mode, phase 2*pi*x/q) are
 included; they are the q-ary one-mode case of the same interferometer,
@@ -87,8 +87,8 @@ class RunResult(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class BatchResult:
     """Outcome of many independently seeded sampled protocols: entry j of
-    the tally counts the trials with j N clicks, and the threshold ``c``
-    and the master seed draw every trial again."""
+    the tally counts the trials with j N clicks, and the threshold
+    ``c = 1 - pn_exact`` and the master seed draw every trial again."""
 
     pn_exact: float
     c: float
@@ -115,18 +115,8 @@ _CLASS_PHASES = np.pi * np.array([[0, 0, 1, 1], [0, 1, 0, 1]],
                                  dtype=np.uint8)
 
 
-def _port_table(code: Code, x, y) -> tuple[np.ndarray, np.ndarray]:
-    # port statistics of the four bit-pair classes, and each mode's class
-    # (e(x)_i << 1) | e(y)_i, one byte per mode, built in place
-    pair = encode(code, x)
-    pair <<= 1
-    pair |= encode(code, y)
-    return interferometer(_CLASS_PHASES, code.m), pair
-
-
-# modes gathered at once, per leaf of pN's sum and per step of the
-# threshold's: at least numpy's pairwise block of 128 values, so no leaf
-# splits a range that numpy sums in one piece
+# modes gathered at once, per leaf of pN's sum: at least numpy's pairwise
+# block of 128 values, so no leaf splits a range that numpy sums in one piece
 _PN_LEAF = 1 << 12
 
 
@@ -145,26 +135,17 @@ def _pairwise_sum(values: np.ndarray, index: np.ndarray) -> float:
 def run_exact(code: Code, x, y) -> float:
     """Exact N-port probability for one run: equals d_H(e(x), e(y)) / m.
 
-    The m per-mode N-port values are summed leaf by leaf in numpy's
-    pairwise order: numpy's sum of them, bit for bit, with one leaf held.
+    Mode i has the port statistics of its bit-pair class
+    (e(x)_i << 1) | e(y)_i, one byte per mode, built in place.  The m
+    per-mode N-port values are summed leaf by leaf in numpy's pairwise
+    order: numpy's sum of them, bit for bit, with one leaf held.  A sum
+    that rounds past 1 is clamped to 1.
     """
-    table, pair = _port_table(code, x, y)
-    return _pairwise_sum(table[1], pair)
-
-
-def _sampling_inputs(code: Code, x, y) -> tuple[float, float]:
-    # pN as run_exact sums it, and the samplers' threshold c: the E-port
-    # probabilities summed left to right, the total carried block to
-    # block, or 1.0 (no draw clicks N) when pN == 0
-    table, pair = _port_table(code, x, y)
-    pn = _pairwise_sum(table[1], pair)
-    if pn == 0.0:
-        return pn, 1.0
-    c = 0.0
-    for lo in range(0, pair.shape[0], _PN_LEAF):
-        block = table[0][pair[lo:lo + _PN_LEAF]]
-        c = float(np.cumsum(np.append(c, block))[-1])
-    return pn, c
+    pair = encode(code, x)
+    pair <<= 1
+    pair |= encode(code, y)
+    pn = _pairwise_sum(interferometer(_CLASS_PHASES, code.m)[1], pair)
+    return min(pn, 1.0)
 
 
 def run_sampled(params: ProtocolParams, x, y, seed: int) -> RunResult:
@@ -174,8 +155,8 @@ def run_sampled(params: ProtocolParams, x, y, seed: int) -> RunResult:
     ``seed`` (recorded in the result for replay) by the block sampler of
     :func:`run_batch`, so a batch trial's seed replays it exactly.
     """
-    pn, c = _sampling_inputs(params.code, x, y)
-    n_clicks = kernels.replay_click_count(c, params.k, seed)
+    pn = run_exact(params.code, x, y)
+    n_clicks = kernels.replay_click_count(1.0 - pn, params.k, seed)
     verdict = Verdict.NOT_EQUAL if n_clicks else Verdict.EQUAL
     return RunResult(verdict, pn, n_clicks, int(seed) & (2**64 - 1))
 
@@ -193,7 +174,8 @@ def run_batch(params: ProtocolParams, x, y, master_seed: int,
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     kernels.check_runs(params.k, trials)
-    pn, c = _sampling_inputs(params.code, x, y)
+    pn = run_exact(params.code, x, y)
+    c = 1.0 - pn
     return BatchResult(pn, c, params.k, int(master_seed) & (2**64 - 1),
                        kernels.click_counts(c, params.k, trials, master_seed))
 

@@ -461,6 +461,42 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert "k = 1: NotEqual fraction = 1.0" in out
 
+    @pytest.mark.parametrize("code", [
+        ["identity", "--n", "3", "--x", "000", "--y", "111"],
+        ["repetition", "--n", "1", "--r", "3", "--x", "0", "--y", "1"]])
+    def test_pn_sum_past_one_is_clamped(self, code, tmp_path, capsys):
+        # the per-mode N-port values of these pairs sum to
+        # 1.0000000000000002; pN is a probability, so 1.0 is printed and
+        # reported, and every draw of a sampled run clicks N
+        out = tmp_path / "run.csv"
+        assert main(["run", "--exact", "--code", *code]) == 0
+        assert "exact: pN = 1.0 verdict = NotEqual" in capsys.readouterr().out
+        assert main(["run", "--code", *code, "--k", "3", "--trials", "50",
+                     "--seed", "2", "--out", str(out)]) == 0
+        assert ("k = 3: NotEqual fraction = 1.0 (exact pN = 1.0)"
+                in capsys.readouterr().out)
+        rows = read_csv(out)
+        assert {row["pN_exact"] for row in rows} == {"1.0"}
+        assert {row["n_clicks_N"] for row in rows} == {"3"}
+
+    def test_widest_threshold_gap_bytes(self, tmp_path, monkeypatch, capsys):
+        # a repetition pair whose E-port total sits 19,968 steps of 2^-53
+        # above 1 - pN: the bytes were recorded while the sampler drew
+        # against that total, and drawing against 1 - pN moves no draw
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--code", "repetition", "--n", "8", "--r",
+                     "100000", "--x", "01101001", "--y", "11001010",
+                     "--k", "10", "--trials", "20000", "--seed", "4",
+                     "--out", "r.csv", "--json", "r.json"]) == 0
+        digests = [hashlib.sha256(data).hexdigest() for data in (
+            capsys.readouterr().out.encode(),
+            (tmp_path / "r.csv").read_bytes(),
+            (tmp_path / "r.json").read_bytes())]
+        assert digests == [
+            "6db9e98d22282af0dea01014a295a6963ddf593e6ef812e677e5b59a2df7c589",
+            "901baf0920c8d016f024c1155fbb2048011b32f7953c62cc9f6b71e7587f1b6c",
+            "7a51dd0b2102f3adbe00efede96204635b01e08e42323524f89b997ddd95be99"]
+
     def test_code_file_input(self, tmp_path):
         code_path = tmp_path / "code.txt"
         assert main(["codes", "export", "--kind", "hadamard", "--n", "3",

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfp import (ProtocolParams, ResourceLimitError, encode, hadamard_code,
-                 identity_code, kernels, run_batch)
+                 identity_code, kernels, run_batch, run_exact)
 from qfp.ecc import random_linear_code
 from qfp.errors import LIMITS
 from qfp.modes import interferometer
@@ -467,7 +467,7 @@ class TestBlockedTrials:
         # per-trial count or seed is stored
         batch = run_batch(ProtocolParams(code.n, code, k, 0.01), x, y,
                           master_seed=5, trials=BLOCK_TRIALS)
-        c = _threshold(_port_probs(code, x, y))
+        c = 1.0 - run_exact(code, x, y)
         assert batch.tally.shape == (k + 1,)
         assert np.array_equal(
             batch.tally, kernels.click_counts(c, k, BLOCK_TRIALS, 5))

@@ -18,6 +18,7 @@ from qfp import (DimensionError, DomainError, ProtocolParams, Verdict,
                  repetitions_needed, run_batch, run_exact, run_sampled)
 from qfp import kernels, protocol, reports
 from qfp.errors import LIMITS, ResourceLimitError
+from qfp.modes import interferometer
 from qfp.protocol import (PHASE_CSV_FIELDS, RUN_CSV_FIELDS, BatchResult,
                           phase_protocol_table, phase_rows)
 
@@ -131,17 +132,15 @@ SMALL_CODES = [family(n) for n in range(1, 5) for family in (
 class TestClassEvaluation:
     """pN and the sampling threshold, evaluated per bit-pair class, equal
     those of the full (2, m) state pipeline bit for bit: pN the N-port
-    sum, the threshold the E-port cumsum (1.0 with no N-port mass)."""
+    sum clamped to 1, the threshold 1 - pN."""
 
     @staticmethod
     def assert_matches_pipeline(code, x, y):
         per_mode = pipeline_port_statistics(code, x, y)
-        p_not_equal = float(per_mode[1].sum())
-        threshold = (float(np.cumsum(per_mode[0])[-1])
-                     if np.any(per_mode[1] > 0.0) else 1.0)
-        pn, c = protocol._sampling_inputs(code, x, y)
-        assert pn.hex() == p_not_equal.hex()
-        assert c.hex() == threshold.hex()
+        p_not_equal = min(float(per_mode[1].sum()), 1.0)
+        c = run_batch(ProtocolParams(code.n, code, 1, 0.01), x, y,
+                      master_seed=0, trials=1).c
+        assert c.hex() == (1.0 - p_not_equal).hex()
         assert run_exact(code, x, y).hex() == p_not_equal.hex()
 
     @pytest.mark.parametrize("code", SMALL_CODES,
@@ -162,9 +161,8 @@ class TestClassEvaluation:
 
     @pytest.mark.parametrize("block", [128, 129, 1000, 1001])
     def test_threshold_blocks(self, monkeypatch, block):
-        # the threshold's total is carried from block to block, so every
-        # block size numpy's pairwise order admits (>= 128) sums the E port
-        # as one left-to-right pass, and pN is unchanged
+        # every leaf size numpy's pairwise order admits (>= 128) leaves pN,
+        # and with it the threshold, unchanged
         monkeypatch.setattr(protocol, "_PN_LEAF", block)
         rng = np.random.default_rng(block)
         code = random_linear_code(8, 1001, seed=1001)
@@ -179,6 +177,26 @@ class TestClassEvaluation:
         for _ in range(8):
             self.assert_matches_pipeline(code, random_message(rng, n),
                                          random_message(rng, n))
+
+
+class TestSamplingThreshold:
+    """A sampled run draws against c = 1 - pN, with pN in [0, 1], so equal
+    inputs (pN exactly 0) draw against 1.0 and never click N."""
+
+    @pytest.mark.parametrize("code", SMALL_CODES,
+                             ids=lambda c: f"{c.kind.value}-{c.n}-{c.m}")
+    def test_every_pair_of_small_codes(self, code):
+        params = ProtocolParams(code.n, code, 3, 0.01)
+        messages = all_messages(code.n)
+        for x in messages:
+            for y in messages:
+                pn = run_exact(code, x, y)
+                batch = run_batch(params, x, y, master_seed=1, trials=20)
+                assert 0.0 <= pn <= 1.0
+                assert batch.c == 1.0 - pn
+                if np.array_equal(x, y):
+                    assert batch.c == 1.0
+                    assert batch.tally.tolist() == [20, 0, 0, 0]
 
 
 PAIRWISE_LENGTHS = [1, 7, 8, 127, 128, 129, 8191, 8192, 8193,
@@ -216,11 +234,10 @@ class TestPairwiseSum:
         rng = np.random.default_rng(code.m)
         for _ in range(2):
             x, y = random_message(rng, code.n), random_message(rng, code.n)
-            table, pair = protocol._port_table(code, x, y)
+            pair = encode(code, x) << 1 | encode(code, y)
+            table = interferometer(protocol._CLASS_PHASES, code.m)
             gathered = float(table[1][pair].sum())
             assert run_exact(code, x, y).hex() == gathered.hex()
-            assert protocol._sampling_inputs(code, x, y)[0].hex() == \
-                gathered.hex()
 
 
 class TestProtocolParams:
