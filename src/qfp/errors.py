@@ -44,8 +44,8 @@ LIMITS = {
     # m = 2,000,000) and 50 MB (n = 16, m = 2^20)
     "oracle word steps": 1 << 30,
     "SMP scored pairs": 10**8,  # strategies x q^2 input pairs
-    # sampled trials written by --out or --json: 2^20 take ~1 s at a
-    # flat ~32 MB peak and write ~300 MB of files (68 MB CSV, 247 MB JSON)
+    # sampled trials written by --out or --json: 2^20 take ~0.8 s at a
+    # flat ~30.5 MB peak and write ~300 MB of files (68 MB CSV, 247 MB JSON)
     "report rows": 1 << 20,
 }
 

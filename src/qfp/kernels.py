@@ -8,8 +8,9 @@ the per-draw work is comparisons and integer arithmetic.  The two
 exhaustive scans (minimum codeword weight, SMP strategy search) return
 exactly what a plain enumeration of their whole search space returns,
 the SMP witness included.  ``perfbench/`` times each kernel in CLI runs
-but :func:`noise_verdicts`, a generator whose call returns before its
-first draw, and :func:`click_block`, a report's second draw of a batch.
+but the generators :func:`noise_verdicts` and :func:`click_blocks`, whose
+calls return before their first draw: a batch's tally is timed inside
+:func:`click_counts`, a report's second draw of the batch is not.
 
 Stream contract
 ---------------
@@ -33,16 +34,17 @@ Batch routines give trial ``i`` (0-based) a private substream whose seed is
 output ``i + 1`` of a master stream.  A single trial is therefore
 replayable from its recorded substream seed alone, and trials may run in
 any order or in parallel without sharing state: :func:`replay_click_count`
-runs the block code of :func:`click_counts` on a block of that one seed.
+runs the block code of :func:`click_blocks` on a block of that one seed.
 
 Block contract
 --------------
 The batch samplers work through their trials in blocks of at most
-``_TRIAL_BLOCK``.  Block ``[a, b)`` derives its own substream seeds,
-outputs ``a + 1 .. b`` of the master stream, and takes every draw of those
-trials; :func:`click_counts` tallies the results and
-:func:`noise_verdicts` yields them.  No block reads another block's state,
-so the results are bit-identical for every block size, and memory is
+``_TRIAL_BLOCK``, in trial order.  Block ``[a, b)`` derives its own
+substream seeds, outputs ``a + 1 .. b`` of the master stream, and takes
+every draw of those trials; :func:`click_blocks` and
+:func:`noise_verdicts` yield the results, and :func:`click_counts`
+tallies those of the first.  No block reads another block's state, so
+the results are bit-identical for every block size, and memory is
 O(block), whatever the trial count.
 """
 
@@ -101,10 +103,10 @@ def check_runs(k: int, trials: int, points: int = 1) -> None:
 
 
 def _trial_blocks(master_seed: int, trials: int):
-    # (offset, substream seeds) of each block of trials, in trial order
+    # substream seeds of each block of trials, in trial order
     for start in range(0, trials, _TRIAL_BLOCK):
-        count = min(_TRIAL_BLOCK, trials - start)
-        yield start, splitmix64_stream(master_seed, count, start)
+        yield splitmix64_stream(
+            master_seed, min(_TRIAL_BLOCK, trials - start), start)
 
 
 _ALWAYS, _NEVER = 0, 1 << 64  # cuts every output passes / none reaches
@@ -154,56 +156,49 @@ class _Draws:
 # port-outcome sampling
 # ---------------------------------------------------------------------------
 
-def _add_clicks(seeds: np.ndarray, cut: int, k: int, out: np.ndarray) -> None:
+def _add_clicks(seeds: np.ndarray, cut: int, k: int,
+                out: np.ndarray) -> np.ndarray:
     # add the N clicks among the k draws of each substream into ``out``
     draws = _Draws(seeds)
     for j in range(1, int(k) + 1):
         out += draws.at_least(j, [cut])[0]
+    return out
+
+
+def click_blocks(c: float, k: int, trials: int, master_seed: int):
+    """Draw ``trials`` protocols of ``k`` runs; for each block of trials,
+    in trial order, yield its N-click counts and its substream seeds.
+
+    A draw clicks N iff its uniform ``u >= c``: ``c`` is 1 - pN of one
+    run, so this is one comparison per draw of the raw output with the cut
+    of ``c``.  With ``c >= 1`` no draw clicks N, which keeps one-sided
+    error exact for a pair with no N-port mass (pN = 0, so c = 1).
+    """
+    cut = _u01_cut(c)
+    for seeds in _trial_blocks(master_seed, trials):
+        counts = np.zeros(seeds.shape, dtype=np.min_scalar_type(k))
+        yield _add_clicks(seeds, cut, k, counts), seeds
 
 
 def click_counts(c: float, k: int, trials: int,
                  master_seed: int) -> np.ndarray:
     """Tally of ``trials`` protocols by N-click count: entry ``j`` of the
-    ``k + 1`` counts the trials with ``j`` of their ``k`` draws clicking N.
-
-    A draw clicks N iff its uniform ``u >= c``: ``c`` is 1 - pN of one
-    run, so this is one comparison per draw of the raw output with the cut
-    of ``c``.  With ``c >= 1`` no draw clicks N, which keeps one-sided
-    error exact for a pair with no N-port mass (pN = 0, so c = 1).  Each
-    block's counts go into one reused buffer and are tallied there.
-    """
-    cut = _u01_cut(c)
+    ``k + 1`` counts the trials with ``j`` of their ``k`` draws clicking N,
+    one ``bincount`` per block of :func:`click_blocks`."""
     tally = np.zeros(k + 1, dtype=np.int64)
-    counts = np.empty(min(trials, _TRIAL_BLOCK), dtype=np.min_scalar_type(k))
-    for _, seeds in _trial_blocks(master_seed, trials):
-        block = counts[:seeds.shape[0]]
-        block.fill(0)
-        _add_clicks(seeds, cut, k, block)
-        tally += np.bincount(block, minlength=k + 1)
+    for counts, _ in click_blocks(c, k, trials, master_seed):
+        tally += np.bincount(counts, minlength=k + 1)
     return tally
-
-
-def click_block(c: float, k: int, trials: int, master_seed: int,
-                start: int) -> tuple[np.ndarray, np.ndarray]:
-    """N-click counts and substream seeds of the kernel block of a batch's
-    trials from ``start``, as :func:`click_counts` draws them."""
-    seeds = splitmix64_stream(
-        master_seed, min(trials, start + _TRIAL_BLOCK) - start, start)
-    counts = np.zeros(seeds.shape, dtype=np.min_scalar_type(k))
-    _add_clicks(seeds, _u01_cut(c), k, counts)
-    return counts, seeds
 
 
 def replay_click_count(c: float, k: int, seed: int) -> int:
     """N-click count, at threshold ``c``, of the trial seeded ``seed``.
 
-    The block code of :func:`click_counts` on a block of one seed, so equal
+    The block code of :func:`click_blocks` on a block of one seed, so equal
     to trial ``i`` of a batch when ``seed`` is that trial's substream seed.
     """
-    count = np.zeros(1, dtype=np.int64)
-    _add_clicks(np.array([int(seed) & _MASK64], dtype=np.uint64),
-                _u01_cut(c), k, count)
-    return int(count[0])
+    return int(_add_clicks(np.array([int(seed) & _MASK64], dtype=np.uint64),
+                           _u01_cut(c), k, np.zeros(1, dtype=np.int64))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +252,7 @@ def noise_verdicts(p_zero: float, p_one: float, p_survive: float,
     points = len(dark_probs)
     dark = [_u01_cut(c) for p in dark_probs
             for c in _dark_count_cdf(dark_slots, float(p))[:w]]
-    for _, seeds in _trial_blocks(master_seed, trials):
+    for seeds in _trial_blocks(master_seed, trials):
         draws = _Draws(seeds)
         kept = np.zeros((points, seeds.shape[0]), dtype=np.bool_)
         any_n = np.zeros_like(kept)

@@ -299,26 +299,20 @@ def exact_report_row(code: Code, x, y) -> dict:
 def batch_rows(params: ProtocolParams, x, y,
                batch: BatchResult) -> reports.Rows:
     """Report rows of a batch, one per trial, replayable from its seed:
-    keyed by N-click count, which gives the verdict too, seed last.  The
-    trials are drawn again a kernel block at a time, each block's seeds
-    derived once, and each block of rows is sliced from the last drawn."""
+    keyed by N-click count, which gives the verdict too, seed last.
+
+    The rows draw the trials again, a kernel block at a time, as they are
+    read.  A report states the batch's NotEqual fraction before its first
+    row, so the tally must be complete before any row is written, and one
+    pass would have to hold a count per trial: two draws keep memory flat
+    in the trials."""
     def cells(count):
         return [(Verdict.NOT_EQUAL if count else Verdict.EQUAL).value, count]
 
-    first, counts, seeds = 0, [], []  # the trials drawn last
-
-    def block(start, stop):
-        nonlocal first, counts, seeds
-        if not first <= start <= stop <= first + len(seeds):
-            first = start
-            counts, seeds = kernels.click_block(
-                batch.c, batch.k, batch.trials, batch.master_seed, start)
-        rows = slice(start - first, stop - first)
-        return counts[rows].tolist(), [seeds[rows].tolist()]
-
+    blocks = ((counts, [seeds]) for counts, seeds in kernels.click_blocks(
+        batch.c, batch.k, batch.trials, batch.master_seed))
     return reports.Rows(_run_row(params.code, params.k, x, y, batch.pn_exact,
-                                 *[reports.SLOT] * 3), batch.trials, cells,
-                        block)
+                                 *[reports.SLOT] * 3), cells, blocks)
 
 
 PHASE_CSV_FIELDS = ("q", "x", "y", "pN_exact", "referee_error", "avg_error")
@@ -326,12 +320,13 @@ PHASE_CSV_FIELDS = ("q", "x", "y", "pN_exact", "referee_error", "avg_error")
 
 def phase_rows(q: int, table: np.ndarray, avg: float, pairs) -> reports.Rows:
     """Report rows of the symbol ``pairs`` (x * q + y for (x, y)) from the
-    ``table`` and ``avg`` of :func:`phase_protocol_table`, keyed by x."""
-    def block(start, stop):
-        x, y = np.divmod(pairs[start:stop], q)
-        pn = table[x, y]
-        return x.tolist(), [y.tolist(), pn.tolist(),
-                            np.where(x == y, pn, 1.0 - pn).tolist()]
+    ``table`` and ``avg`` of :func:`phase_protocol_table`, keyed by x, read
+    q pairs at a time."""
+    def blocks():
+        for start in range(0, len(pairs), q):
+            x, y = np.divmod(pairs[start:start + q], q)
+            pn = table[x, y]
+            yield x, [y, pn, np.where(x == y, pn, 1.0 - pn)]
 
     template = dict(zip(PHASE_CSV_FIELDS, (q, *[reports.SLOT] * 4, avg)))
-    return reports.Rows(template, len(pairs), lambda x: [x], block)
+    return reports.Rows(template, lambda x: [x], blocks())

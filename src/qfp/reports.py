@@ -3,11 +3,11 @@
 Same rows in, same bytes out: floats are rendered with ``repr`` (shortest
 round-trip form), key order is fixed by the caller, a CSV header is its
 rows' keys, and files carry no timestamps.  :func:`chunks` renders both
-reports in one pass; a large table is :class:`Rows`, built once per block
-for both files.  :func:`write` writes the chunks as bytes through one temp
-file per report, all opened before the first row is rendered and renamed
-after the last, so a failed run leaves neither report unless the second
-rename fails after the first."""
+reports in one pass; a large table is :class:`Rows`, read once, a block at
+a time, for both files.  :func:`write` writes the chunks as bytes through
+one temp file per report, all opened before the first row is rendered and
+renamed after the last, so a failed run leaves neither report unless the
+second rename fails after the first."""
 
 from __future__ import annotations
 
@@ -73,21 +73,21 @@ def json_text(payload) -> str:
 
 # rows per chunk of a streamed table: the widest sampled row (Hadamard
 # n = 20) takes ~260 JSON bytes, so a chunk stays near 67 KB, under glibc's
-# 128 KiB mmap threshold, and no block's memory depends on heap layout
+# 128 KiB mmap threshold, and no chunk's memory depends on heap layout
 _ROW_BLOCK = 1 << 8
 SLOT = "<slot>"  # stands for a cell that varies from row to row
 
 
 class Rows(NamedTuple):
-    """``size`` rows: ``template`` has :data:`SLOT` in each cell that varies.
+    """A table: ``template`` has :data:`SLOT` in each cell that varies.
     ``cells(key)`` gives the leading varying cells of every row with that
-    key; ``block(start, stop)`` gives each row's key and its other varying
-    cells, one list per column of ints or finite floats."""
+    key.  ``blocks`` yields the rows in order, a block at a time, read
+    once: each block is its rows' keys and a list of their other varying
+    columns, numpy arrays of ints or finite floats of one length."""
 
     template: dict
-    size: int
     cells: Callable
-    block: Callable
+    blocks: Iterable
 
 
 def _stream(texts: Sequence[str], cells, rows: Rows) -> Iterator[list[str]]:
@@ -100,8 +100,8 @@ def _stream(texts: Sequence[str], cells, rows: Rows) -> Iterator[list[str]]:
     befores = [parts[len(parts) // 2:-1] for parts in splits]
     prefixes = [{} for _ in texts]
 
-    def block(start: int) -> list[str]:  # one row build for every file
-        keys, tail = rows.block(start, min(start + _ROW_BLOCK, rows.size))
+    def block(keys: list, tail: list, first: bool) -> list[str]:
+        # one row build for every file
         tail = [list(map(repr, column)) for column in tail]
         for key in set(keys).difference(prefixes[0]):
             values = rows.cells(key)
@@ -117,13 +117,19 @@ def _stream(texts: Sequence[str], cells, rows: Rows) -> Iterator[list[str]]:
             pieces[::width] = map(prefix.__getitem__, keys)
             for i, column in enumerate(tail):
                 pieces[2 * i + 1::width] = column
-            if start == 0:  # no joint before the first row
+            if first:  # no joint before the first row
                 pieces[0] = pieces[0][len(before[0]):]
             chunk.append("".join(pieces))
         return chunk
 
     yield [parts[0] for parts in splits]
-    yield from map(block, range(0, rows.size, _ROW_BLOCK))
+    first = True
+    for keys, tail in rows.blocks:
+        for start in range(0, len(keys), _ROW_BLOCK):
+            span = slice(start, start + _ROW_BLOCK)
+            yield block(keys[span].tolist(),
+                        [column[span].tolist() for column in tail], first)
+            first = False
     yield [parts[-1] for parts in splits]
 
 

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qfp
-from qfp import cli, ecc, protocol, reports
+from qfp import cli, ecc, kernels, reports
 from qfp.cli import main, parse_length, parse_time
 from qfp.errors import LIMITS
 
@@ -289,29 +289,28 @@ class TestRunCommand:
         assert (tmp_path / "run.csv").read_bytes().count(b"\n") == 300_001
         assert peak_mb < 45
 
-    def test_one_row_build_per_block(self, tmp_path, monkeypatch):
-        # the CSV and the JSON are rendered from one Rows.block call per
-        # block, made in order
-        calls = []
-        batch_rows = protocol.batch_rows
+    def test_each_kernel_block_drawn_twice(self, tmp_path, monkeypatch):
+        # a report draws each kernel block once for the tally and once for
+        # the CSV and JSON rows, in trial order, though row chunks of 3
+        # cross the kernel blocks of 4
+        drawn = []
+        add_clicks = kernels._add_clicks
 
-        def counted(*args):
-            rows = batch_rows(*args)
+        def counted(seeds, *args):
+            drawn.append(seeds.tolist())
+            return add_clicks(seeds, *args)
 
-            def block(start, stop):
-                calls.append((start, stop))
-                return rows.block(start, stop)
-
-            return rows._replace(block=block)
-
-        monkeypatch.setattr(protocol, "batch_rows", counted)
-        trials, size = 5 * reports._ROW_BLOCK + 3, reports._ROW_BLOCK
+        monkeypatch.setattr(kernels, "_add_clicks", counted)
+        monkeypatch.setattr(kernels, "_TRIAL_BLOCK", 4)
+        monkeypatch.setattr(reports, "_ROW_BLOCK", 3)
         assert main(["run", "--code", "hadamard", "--n", "4", "--x", "0000",
-                     "--y", "0110", "--k", "10", "--trials", str(trials),
-                     "--out", str(tmp_path / "r.csv"),
+                     "--y", "0110", "--k", "10", "--trials", "23",
+                     "--seed", "3", "--out", str(tmp_path / "r.csv"),
                      "--json", str(tmp_path / "r.json")]) == 0
-        assert calls == [(start, min(start + size, trials))
-                         for start in range(0, trials, size)]
+        seeds = kernels.splitmix64_stream(3, 23).tolist()
+        blocks = [seeds[start:start + 4] for start in range(0, 23, 4)]
+        assert drawn == 2 * blocks
+        assert (tmp_path / "r.csv").read_text().count("\n") == 24
 
     @pytest.mark.parametrize("out, json_path, config", [
         ("r", "r", ""), ("r", "./r", ""), ("r", None, "json = r\n"),

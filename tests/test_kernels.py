@@ -54,7 +54,7 @@ class TestStreams:
     def test_derived_seeds_are_master_stream_outputs(self):
         # trial i of a batch gets output i + 1 of the master stream
         master = 987654321
-        seeds = np.concatenate([s for _, s in kernels._trial_blocks(master, 10)])
+        seeds = np.concatenate(list(kernels._trial_blocks(master, 10)))
         assert [int(s) for s in seeds] == _reference_splitmix(master, 10)
 
     @pytest.mark.parametrize("start,count", [(0, 10), (1, 9), (7, 3),
@@ -182,8 +182,8 @@ def _reference_click_counts(probs, k, trials, master_seed):
 
 
 def _trial_counts(c, k, trials, master_seed):
-    """Per-trial N-click counts of a batch, in one span of the kernel."""
-    counts, seeds = kernels.click_block(c, k, trials, master_seed, 0)
+    """Per-trial N-click counts of a batch, in one block of the kernel."""
+    [(counts, seeds)] = kernels.click_blocks(c, k, trials, master_seed)
     assert np.array_equal(seeds,
                           kernels.splitmix64_stream(master_seed, trials))
     return counts
@@ -401,13 +401,15 @@ class TestBlockedTrials:
         assert np.array_equal(
             kernels.click_counts(_threshold(probs), 6, BLOCK_TRIALS, 31),
             _tally(want, 6))
-        # a kernel block drawn from any trial, none past the last
-        for start in [0, 3, BLOCK_TRIALS - 1]:
-            counts, seeds = kernels.click_block(
-                _threshold(probs), 6, BLOCK_TRIALS, 31, start)
-            assert len(seeds) == min(BLOCK_TRIALS,
-                                     start + trial_block) - start
-            assert np.array_equal(counts, want[start:start + len(seeds)])
+        # every kernel block in trial order, none past the last
+        blocks = list(kernels.click_blocks(_threshold(probs), 6,
+                                           BLOCK_TRIALS, 31))
+        assert [len(seeds) for _, seeds in blocks] == [
+            min(trial_block, BLOCK_TRIALS - start)
+            for start in range(0, BLOCK_TRIALS, trial_block)]
+        assert np.array_equal(np.concatenate([c for c, _ in blocks]), want)
+        assert np.array_equal(np.concatenate([s for _, s in blocks]),
+                              kernels.splitmix64_stream(31, BLOCK_TRIALS))
 
     @pytest.mark.parametrize("slots,p", [(0, 0.0), (3, 0.3), (1000, 1e-4)])
     def test_noise_verdicts(self, trial_block, slots, p):

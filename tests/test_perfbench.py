@@ -89,8 +89,8 @@ def test_workload_replay_is_the_batch_trial(monkeypatch):
     assert workloads.K == K and workloads.SAMPLED_N == 4
     params = ProtocolParams(4, hadamard_code(4), K, 0.01)
     # each trial's count and seed, as the batch's report rows give them
-    counts, [seeds] = batch_rows(params, X, Y,
-                                 run_batch(params, X, Y, SEED, 64)).block(0, 64)
-    for clicks, seed in zip(counts, seeds):
+    [(counts, [seeds])] = batch_rows(params, X, Y,
+                                     run_batch(params, X, Y, SEED, 64)).blocks
+    for clicks, seed in zip(counts.tolist(), seeds.tolist()):
         verdict = "NotEqual" if clicks else "Equal"
         assert workloads.replay(X, Y, seed) == (verdict, clicks)

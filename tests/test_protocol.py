@@ -317,12 +317,10 @@ class TestRunBatch:
     @settings(max_examples=30, deadline=None)
     @given(k=st.integers(1, 300), trials=st.integers(1, 3 * 4),
            c=st.floats(0.0, 1.0), seed=st.integers(0, 2**64 - 1),
-           row_block=st.sampled_from([1, 2, 4]))
+           row_block=st.integers(1, 5))
     @example(k=300, trials=9, c=0.05, seed=2**64 - 1, row_block=2)
     def test_tally_agrees_with_replay(self, k, trials, c, seed, row_block):
-        # 1..3 kernel blocks of 4 trials; counts pass 255 when c is small.
-        # The report draws the trials again, in row blocks that divide a
-        # kernel block
+        # 1..3 kernel blocks of 4 trials; counts pass 255 when c is small
         clicks = [kernels.replay_click_count(c, k, s) for s
                   in kernels.splitmix64_stream(seed, trials).tolist()]
         code = hadamard_code(4)
@@ -590,7 +588,7 @@ class TestStreamedReports:
 
     @pytest.mark.parametrize("block", [2, 1 << 12])
     def test_huge_k_renders_only_counts_that_occur(self, monkeypatch, block):
-        # counts up to k = 2^40, fed through the rows' block by hand: the
+        # counts up to k = 2^40, fed through the rows' blocks by hand: the
         # per-count row prefixes cover the counts present, never 0..k
         monkeypatch.setattr(reports, "_ROW_BLOCK", block)
         k = 2**40
@@ -601,8 +599,7 @@ class TestStreamedReports:
         rows = _dict_rows(params, "0000", "0110", batch, clicks)
         seeds = kernels.splitmix64_stream(batch.master_seed, len(clicks))
         sampled = batch_rows(params, "0000", "0110", batch)._replace(
-            block=lambda start, stop: (clicks[start:stop],
-                                       [seeds[start:stop].tolist()]))
+            blocks=[(np.array(clicks), [seeds])])
         payload = {"command": "run", "mode": "sampled", "k": k}
         start = time.perf_counter()
         csv_text, json_text = _rendered(payload, sampled)
@@ -663,8 +660,9 @@ class TestStreamedReports:
         sampled = batch_rows(params, "1" * 20, "0" * 19 + "1",
                              BatchResult(2.2250738585072014e-308, 0.0, k,
                                          seed, tally))
-        widest = sampled._replace(block=lambda start, stop: (
-            sampled.block(start, stop)[0], [[seed] * (stop - start)]))
+        widest = sampled._replace(blocks=(
+            (counts, [np.full_like(seeds, seed)])
+            for counts, [seeds] in sampled.blocks))
         q = math.isqrt(LIMITS["phase pairs"])
         table, avg = phase_protocol_table(q)
         for rows in [widest, phase_rows(q, table, avg, range(q * q))]:
