@@ -10,7 +10,6 @@ enters only through :func:`justesen_nu`.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 from dataclasses import dataclass
 
@@ -234,14 +233,10 @@ def justesen_nu(mu: float) -> float:
 # are written, and dropped past their length, _PIECE characters at a time
 _PIECE = 1 << 16
 
-def _is_path(file) -> bool:
-    return isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")
-
-
-def save_code(code: Code, dest) -> None:
-    """Write ``code`` to an open text file, or to a path through a temp
-    file and a rename (:func:`reports.write`), so a failed write leaves
-    the old file."""
+def save_code(code: Code, path) -> None:
+    """Write ``code`` to ``path`` (a str, bytes or PathLike) through a
+    temp file and a rename (:func:`reports.write`), so a failed write
+    leaves the old file."""
     def pieces():  # one per chunk, none kept after its write
         yield [f"{code.n} {code.m} {code.t} {code.kind.value}\n"]
         for i in range(code.n):
@@ -250,31 +245,29 @@ def save_code(code: Code, dest) -> None:
                 yield [bits_to_string(row[start:start + _PIECE])]
             yield ["\n"]
 
-    if _is_path(dest):
-        reports.write([dest], pieces())
-    else:  # a caller's file stays open
-        dest.writelines(piece for [piece] in pieces())
+    reports.write([path], pieces())
 
 
-def load_code(src) -> Code:
-    with (open(src, encoding="utf-8") if _is_path(src)
-          else contextlib.nullcontext(src)) as fh:
+def load_code(path) -> Code:
+    """The code in the file at ``path`` (a str, bytes or PathLike)."""
+    with open(path, encoding="utf-8") as fh:
         try:
             return _read_code(fh)
         except UnicodeDecodeError as exc:
             raise CodeFormatError(f"code file is not UTF-8: {exc}") from exc
 
 
-def _next_line(fh, size: int) -> str | None:
+def _next_line(fh, size: int, rest: bool = True) -> str | None:
     """The next non-blank line without its newline, None at the end.
 
     At most ``size + 1`` characters of a line are kept; the rest of a
     longer line is read and dropped ``_PIECE`` at a time, so no line
     is held whole, and it is blank only if every piece is whitespace.
+    Without ``rest``, the read stops at the first non-blank piece.
     """
     while line := fh.readline(size + 1):
         blank, piece = not line.strip(), line
-        while piece and not piece.endswith("\n"):
+        while piece and not piece.endswith("\n") and (rest or blank):
             piece = fh.readline(_PIECE)
             blank = blank and not piece.strip()
         if not blank:
@@ -288,8 +281,9 @@ def _read_code(fh) -> Code:
     # keeps only its rows' bytes (no larger than the file), any other
     # kind compares each row with its code's formula and keeps none.  A
     # line is read only up to the most characters it may have and one
-    # more, so an over-long row is cut there and fails its length check
-    header = _next_line(fh, 4096)
+    # more, so an over-long row is cut there and fails its length check;
+    # an over-long header fails as it is, so its rest is never read
+    header = _next_line(fh, 4096, rest=False)
     if header is None:
         raise CodeFormatError("empty code file")
     if len(header) > 4096:

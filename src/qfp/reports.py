@@ -5,9 +5,10 @@ round-trip form), key order is fixed by the caller, a CSV header is its
 rows' keys, and files carry no timestamps.  :func:`chunks` renders both
 reports in one pass; a large table is :class:`Rows`, read once, a block at
 a time, for both files.  :func:`write` writes the chunks as bytes through
-one temp file per report, all opened before the first row is rendered and
-renamed after the last, so a failed run leaves neither report unless the
-second rename fails after the first."""
+one temp file per report, next to the file its path names (links
+followed; a FIFO or a device is refused), all opened before the first row
+is rendered and renamed after the last, so a failed run leaves neither
+report unless the second rename fails after the first."""
 
 from __future__ import annotations
 
@@ -28,11 +29,18 @@ def render_value(value) -> str:
 def write(paths: Sequence, chunks: Iterable[Sequence[str]]) -> None:
     """Write string i of each chunk, in order, to ``paths[i]``.
 
-    Each path gets a private temp file next to it under a random name, so
-    concurrent writers never share one.  If opening, producing or writing
-    a chunk, or a rename fails, every temp file not yet renamed is
-    removed, so no target is touched but those renamed before.
+    The file each path names, links followed, gets a private temp file
+    next to it under a random name, so a link stays a link and concurrent
+    writers never share one.  A target that exists but is neither a
+    regular file nor a directory (a FIFO, a device) is refused first.
+    If opening, producing or writing a chunk, or a rename fails, every
+    temp file not yet renamed is removed, so no target is touched but
+    those renamed before.
     """
+    paths = [os.path.realpath(path) for path in paths]
+    for path in filter(os.path.exists, paths):
+        if not (os.path.isfile(path) or os.path.isdir(path)):
+            raise OSError(f"{os.fsdecode(path)!r} is not a regular file")
     files, renamed = [], 0
     try:
         try:

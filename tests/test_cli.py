@@ -9,6 +9,7 @@ import json
 import math
 import os
 import signal
+import stat
 import subprocess
 import sys
 import tempfile
@@ -505,6 +506,28 @@ class TestRunCommand:
                      "--y", "111", "--exact", "--out", str(out)]) == 0
         assert float(read_csv(out)[0]["pN_exact"]) == pytest.approx(0.5)
 
+    def test_out_through_a_link_writes_its_target(self, tmp_path):
+        # the temp file is renamed onto the file the link names, so the
+        # link stays a link
+        (tmp_path / "real.csv").write_text("old\n")
+        os.symlink("real.csv", tmp_path / "link.csv")
+        assert main(["run", "--code", "hadamard", "--n", "4", "--x", "0000",
+                     "--y", "0001", "--exact", "--out",
+                     str(tmp_path / "link.csv")]) == 0
+        assert os.readlink(tmp_path / "link.csv") == "real.csv"
+        assert read_csv(tmp_path / "real.csv")[0]["verdict"] == "NotEqual"
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "real.csv"]
+
+    def test_out_fifo_refused(self, tmp_path, capsys):
+        # a FIFO is neither replaced by a regular file nor written to
+        fifo = tmp_path / "x.csv"
+        os.mkfifo(fifo)
+        assert main(["run", "--code", "hadamard", "--n", "4", "--x", "0000",
+                     "--y", "0001", "--exact", "--out", str(fifo)]) == 1
+        assert "is not a regular file" in capsys.readouterr().err
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["x.csv"]
+
     def test_missing_inputs_usage_error(self, capsys):
         assert main(["run", "--code", "hadamard", "--n", "4"]) == 1
         assert "--x" in capsys.readouterr().err
@@ -830,6 +853,22 @@ class TestCodesCommand:
         assert got == rc
         assert message in (out if rc == 0 else err).read_text()
         assert peak_mb < 40
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"),
+                        reason="no /dev/zero")
+    @pytest.mark.parametrize("argv", [
+        ["codes", "show", "--in", "/dev/zero"],
+        ["run", "--code-file", "/dev/zero", "--x", "1", "--y", "0",
+         "--exact"],
+    ], ids=["show", "run"])
+    def test_endless_header_line_ends_at_once(self, argv, tmp_path):
+        # a header past 4096 characters fails without its rest being read
+        with open(tmp_path / "err", "wb") as err:
+            rc, seconds, _ = run_child(argv, tmp_path, stderr=err,
+                                       timeout=10)
+        assert rc == 1 and seconds < 5
+        assert ("error: bad header: longer than 4096 characters"
+                in (tmp_path / "err").read_text())
 
     def test_non_utf8_code_file_is_format_error(self, tmp_path, capsys):
         path = tmp_path / "bad.code"
@@ -1278,15 +1317,15 @@ def _splice(text: bytes, at: int, cut: int, insert: bytes) -> bytes:
     return text[:at] + insert + text[at + cut:]
 
 
-def _saved(code) -> bytes:
-    buf = io.StringIO()
-    ecc.save_code(code, buf)
-    return buf.getvalue().encode()
-
-
 def _code_text(n, m, t, kind, rows) -> bytes:
     return "".join(f"{line}\n" for line in [f"{n} {m} {t} {kind}",
                                               *rows]).encode()
+
+
+def _saved(code) -> bytes:
+    return _code_text(code.n, code.m, code.t, code.kind.value,
+                      [ecc.bits_to_string(code.row(i))
+                       for i in range(code.n)])
 
 
 SAVED_CODES = st.one_of(

@@ -1,6 +1,5 @@
 """Code constructors, the exhaustive distance oracle, and the file format."""
 
-import io
 import itertools
 import os
 import tracemalloc
@@ -19,6 +18,13 @@ from qfp import kernels
 from qfp.errors import LIMITS
 
 MAX_ENTRIES = LIMITS["generator entries"]
+
+
+def _load_text(tmp_path, text):
+    """Load ``text`` as a code file written under ``tmp_path``."""
+    path = tmp_path / "loaded.code"
+    path.write_text(text, encoding="utf-8")
+    return load_code(path)
 
 
 def pairwise_min_distance(code):
@@ -260,19 +266,18 @@ class TestCodeFiles:
         assert (tmp_path / "code.txt").read_text() == (
             "2 4 2 Repetition\n1100\n0011\n")
 
-    def test_header_format(self):
-        buf = io.StringIO()
-        save_code(repetition_code(2, 2), buf)
-        lines = buf.getvalue().splitlines()
+    def test_header_format(self, tmp_path):
+        save_code(repetition_code(2, 2), tmp_path / "code.txt")
+        lines = (tmp_path / "code.txt").read_text().splitlines()
         assert lines[0] == "2 4 2 Repetition"
         assert lines[1:] == ["1100", "0011"]
 
-    def test_malformed_files_rejected(self):
+    def test_malformed_files_rejected(self, tmp_path):
         for text in ("", "1 2\n", "1 2 1 Nonsense\n10\n",
                      "2 3 1 Identity\n101\n", "1 3 1 Identity\n10\n",
                      "1 3 1 Identity\n102\n", "1 2 1 Identity\n1\u0661\n"):
             with pytest.raises(CodeFormatError):
-                load_code(io.StringIO(text))
+                _load_text(tmp_path, text)
 
     @pytest.mark.parametrize("text, message", [
         ("-1 4 2 Identity\n", "must be >= 1"),
@@ -283,16 +288,16 @@ class TestCodeFiles:
         ("2 1000000000000 1 Identity\n10\n01\n", "row 1 is not"),
     ], ids=["n_negative", "n_zero", "m_zero", "m_negative", "m_huge",
             "m_huge_two_rows"])
-    def test_header_bounds_rejected(self, text, message):
+    def test_header_bounds_rejected(self, text, message, tmp_path):
         # a header m beyond the file fails on the rows, before allocating
         with pytest.raises(CodeFormatError, match=message):
-            load_code(io.StringIO(text))
+            _load_text(tmp_path, text)
 
-    def test_header_over_budget_refused_before_rows(self):
+    def test_header_over_budget_refused_before_rows(self, tmp_path):
         # the header's Hadamard code (21 x 2^21 entries) is made, and
         # refused, before the missing rows are counted
         with pytest.raises(ResourceLimitError, match="generator entries"):
-            load_code(io.StringIO("21 2097152 1048576 Hadamard\n"))
+            _load_text(tmp_path, "21 2097152 1048576 Hadamard\n")
 
     @pytest.mark.parametrize("text, message", [
         ("2 3 1 Identity\n102\n", "expected 2 generator rows, got 1"),
@@ -300,11 +305,12 @@ class TestCodeFiles:
         ("3 2 1 Identity\n10\n1x\n\n01\n", "row 2 is not 2 bits"),
         ("2 2 1 Identity\n10\n011\n", "row 2 is not 2 bits"),
     ])
-    def test_row_count_reported_before_bad_row(self, text, message):
+    def test_row_count_reported_before_bad_row(self, text, message,
+                                               tmp_path):
         # rows are checked as they are read, but a wrong row count is
         # still the error reported, whatever the rows hold
         with pytest.raises(CodeFormatError, match=message):
-            load_code(io.StringIO(text))
+            _load_text(tmp_path, text)
 
     @pytest.mark.parametrize("text", [
         "2 4 2 Hadamard\n1111\n0000\n",
@@ -318,29 +324,28 @@ class TestCodeFiles:
     ], ids=["hadamard_generator", "hadamard_t", "hadamard_m",
             "identity_t", "identity_generator", "identity_m",
             "repetition_generator", "repetition_m"])
-    def test_header_kind_checked(self, text):
+    def test_header_kind_checked(self, text, tmp_path):
         with pytest.raises(CodeFormatError):
-            load_code(io.StringIO(text))
+            _load_text(tmp_path, text)
 
     @pytest.mark.parametrize("code", [
         identity_code(1), identity_code(6),
         repetition_code(1, 1), repetition_code(3, 1), repetition_code(4, 3),
         hadamard_code(1), hadamard_code(5),
     ], ids=lambda c: f"{c.kind.value}-{c.n}x{c.m}")
-    def test_canonical_exports_load(self, code):
-        buf = io.StringIO()
-        save_code(code, buf)
-        back = load_code(io.StringIO(buf.getvalue()))
+    def test_canonical_exports_load(self, code, tmp_path):
+        save_code(code, tmp_path / "code.txt")
+        back = load_code(tmp_path / "code.txt")
         assert (back.n, back.m, back.t, back.kind) == (code.n, code.m,
                                                        code.t, code.kind)
         assert np.array_equal(back.generator, code.generator)
 
-    def test_declared_distance_mismatch_detectable(self):
+    def test_declared_distance_mismatch_detectable(self, tmp_path):
         # load trusts a random code's header; the oracle exposes a tampered t
-        buf = io.StringIO()
-        save_code(random_linear_code(4, 10, seed=5), buf)
-        tampered = buf.getvalue().replace("4 10 1", "4 10 2")
-        code = load_code(io.StringIO(tampered))
+        save_code(random_linear_code(4, 10, seed=5), tmp_path / "code.txt")
+        tampered = (tmp_path / "code.txt").read_text().replace("4 10 1",
+                                                               "4 10 2")
+        code = _load_text(tmp_path, tampered)
         assert code.t == 2
         assert min_distance_bruteforce(code) == 1
 

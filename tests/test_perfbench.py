@@ -73,6 +73,24 @@ def test_tracer_counts_certify_runs(tmp_path):
         assert function not in result["missing"]
 
 
+def test_tracer_counts_noise_runs_and_code_files(tmp_path):
+    # the noisy sweep's count reads ``k`` and ``trials``; the code-file
+    # functions are traced by name
+    result = _trace(tmp_path, [
+        ["feasibility", "--noise", "--pn", "0.25", "--k", "10",
+         "--trials", "1000", "--seed", "3", "--sweep-dark", "0,1e-4",
+         "--json", "s.json"],
+        ["codes", "export", "--kind", "random", "--n", "4", "--m", "10",
+         "--out", "c.code"],
+        ["codes", "show", "--in", "c.code"],
+    ])
+    assert [inv["rc"] for inv in result["invocations"]] == [0, 0, 0]
+    assert result["metrics"]["kernels.noise_draws"] == 50_000
+    for function in ("kernels.noise_verdicts", "ecc.load_code",
+                     "ecc.save_code"):
+        assert function not in result["missing"]
+
+
 def test_tracer_absent_names_are_pinned(tmp_path):
     # the SPANS names no longer in qfp; a traced function deleted or
     # renamed would join them, its time moving silently into cli.self_s
